@@ -54,9 +54,6 @@ struct FleetSimConfig {
   Nanos net_one_way = 5 * kMicrosecond;  // client -> fleet dispatcher hop
   Nanos dispatch_cost = 50;      // fleet decision, serial per request
   uint64_t seed = 42;
-  // Backend for the fleet's single shared event queue (servers in fleet mode
-  // never build their own); auto = density heuristic, see EngineBackend.
-  EngineBackend engine_backend = EngineBackend::kAuto;
   FleetPolicyConfig policy;
   // When non-empty, Run() writes fleet.json and metrics.prom here, plus the
   // usual per-server artifacts under <dir>/server<i>/.

@@ -2,31 +2,11 @@
 
 #include <set>
 
+#include "src/common/json.h"
 #include "src/introspect/prometheus.h"
 
 namespace psp {
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 void AppendSummary(std::string* out, const std::string& metric,
                    const std::string& labels, const Histogram& h) {

@@ -40,7 +40,12 @@ bool SimulatedNic::PollRx(uint32_t queue, PacketRef* out) {
 
 bool SimulatedNic::Transmit(uint32_t queue, PacketRef packet) {
   packet.tx_timestamp = TscClock::Global().Now();
-  return egress_[queue]->TryPush(packet);
+  if (!egress_[queue]->TryPush(packet)) {
+    // Egress full (client not draining): the caller keeps the frame.
+    tx_drops_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
 }
 
 bool SimulatedNic::PollEgress(PacketRef* out) {

@@ -52,7 +52,8 @@ class SimulatedNic {
   bool PollRx(uint32_t queue, PacketRef* out);
 
   // Transmits: in this simulation, TX frames land on the egress ring that the
-  // in-process "client" drains.
+  // in-process "client" drains. Returns false (counted in tx_drops) when that
+  // ring is full; the frame then stays with the caller.
   bool Transmit(uint32_t queue, PacketRef packet);
   bool PollEgress(PacketRef* out);
 
@@ -61,6 +62,9 @@ class SimulatedNic {
 
   uint64_t rx_drops() const {
     return rx_drops_.load(std::memory_order_relaxed);
+  }
+  uint64_t tx_drops() const {
+    return tx_drops_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -72,9 +76,11 @@ class SimulatedNic {
   // lock-free.
   std::vector<std::unique_ptr<SpscRing<PacketRef>>> egress_;
   uint32_t egress_cursor_ = 0;
-  // Relaxed atomic: bumped by the ingress thread, read by telemetry snapshots
-  // taken from other threads while traffic flows.
+  // Relaxed atomics, touched on the drop path only: rx by the ingress thread,
+  // tx by any worker; read by telemetry snapshots taken from other threads
+  // while traffic flows.
   std::atomic<uint64_t> rx_drops_{0};
+  std::atomic<uint64_t> tx_drops_{0};
 };
 
 // A thread's handle on the NIC: its RX/TX queue plus a private buffer cache.

@@ -328,6 +328,7 @@ TelemetrySnapshot Persephone::telemetry_snapshot() const {
   TelemetrySnapshot snap = telemetry_->Snapshot();
   scheduler_->ExportTelemetry(&snap);
   snap.counters["nic.rx_drops"] += nic_->rx_drops();
+  snap.counters["nic.tx_drops"] += nic_->tx_drops();
   if (udp_) {
     // Socket-frontend counters, folded in here so psp_net stays free of the
     // telemetry dependency.
@@ -888,7 +889,8 @@ void Persephone::WorkerLoop(uint32_t worker_id) {
     }
     const PacketRef response{frame, frame_len};
     if (egress_sink_->SendBurst(&response, 1, worker_id + 1) == 0) {
-      // Egress full (client not draining): release the buffer.
+      // Egress full (client not draining): the NIC counted the drop in
+      // nic.tx_drops; release the buffer.
       pool_->FreeGlobal(frame);
     }
     const Nanos service = clock.Now() - start;

@@ -19,7 +19,6 @@ ClusterEngine::ClusterEngine(WorkloadSpec workload, ClusterConfig config,
     : workload_(std::move(workload)),
       config_(config),
       policy_(std::move(policy)),
-      own_sim_(config.engine_backend),
       sim_(sim != nullptr ? sim : &own_sim_),
       external_arrivals_(sim != nullptr),
       rng_(config.seed),
@@ -332,18 +331,16 @@ TelemetrySnapshot ClusterEngine::telemetry_snapshot() const {
   snap.counters["engine.generated"] += generated_;
   metrics_.ExportTelemetry(&snap);
   snap.gauges["engine.num_workers"] = config_.num_workers;
-  // Event-queue backend introspection (psp_sim_engine_* in /metrics). Only
-  // when the engine owns its simulation: fleet servers share the fleet's
-  // queue, which exports these once as fleet.sim.engine.* instead of N
-  // double-counted copies.
+  // Event-queue introspection (psp_sim_engine_* in /metrics). Only when the
+  // engine owns its simulation: fleet servers share the fleet's queue, which
+  // exports these once as fleet.sim.engine.* instead of N double-counted
+  // copies.
   if (!external_arrivals_) {
     snap.counters["sim.engine.executed"] += sim_->executed_events();
     snap.counters["sim.engine.cascades"] += sim_->wheel_cascades();
     snap.counters["sim.engine.rollovers"] += sim_->wheel_rollovers();
-    snap.counters["sim.engine.backend_switches"] += sim_->backend_switches();
     snap.counters["sim.engine.arena_allocations"] +=
         sim_->arena_allocations();
-    snap.gauges["sim.engine.wheel_active"] = sim_->wheel_active() ? 1 : 0;
     snap.gauges["sim.engine.pending_events"] =
         static_cast<int64_t>(sim_->pending_events());
   }

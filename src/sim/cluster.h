@@ -50,10 +50,6 @@ struct ClusterConfig {
   Nanos dispatch_cost = 100;        // net worker + classifier + decision, per request
   Nanos completion_cost = 40;       // completion-signal handling on dispatcher
   uint64_t seed = 42;
-  // Event-queue backend (auto = density heuristic picks wheel vs heap; see
-  // EngineBackend in src/sim/event_queue.h). Ignored in fleet-server mode,
-  // where the fleet's shared simulation owns the choice.
-  EngineBackend engine_backend = EngineBackend::kAuto;
   Nanos time_series_bucket = 0;     // 0 = no time series
   // Observability: lifecycle-trace sampling + ring sizing, the same knobs as
   // the threaded runtime (RuntimeConfig::telemetry).

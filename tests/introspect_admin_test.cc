@@ -115,6 +115,31 @@ TEST(AdminServer, ServesMetricsSnapshotAndHealth) {
   EXPECT_FALSE(server.running());
 }
 
+// The 405 body echoes the client-supplied method inside a JSON string, so a
+// hostile method token carrying control bytes must come back escaped: the
+// body stays valid JSON (no raw byte below 0x20 inside the object).
+TEST(AdminServer, MethodNotAllowedEscapesControlBytes) {
+  AdminConfig config;
+  config.enabled = true;
+  AdminHooks hooks;
+  hooks.snapshot = [] { return TelemetrySnapshot{}; };
+  AdminServer server(config, hooks);
+  ASSERT_EQ(server.Start(), "");
+  const std::string response =
+      HttpRequest(server.port(), "\x01X", "/healthz");
+  server.Stop();
+  EXPECT_EQ(Status(response), 405);
+  std::string body = Body(response);
+  ASSERT_FALSE(body.empty());
+  ASSERT_EQ(body.back(), '\n');  // the line terminator after the object
+  body.pop_back();
+  for (const char c : body) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20)
+        << "raw control byte in 405 body: " << body;
+  }
+  EXPECT_EQ(body, "{\"error\":\"method not allowed: \\u0001X\"}");
+}
+
 TEST(AdminServer, UnixDomainSocketListener) {
   AdminConfig config;
   config.enabled = true;

@@ -91,6 +91,27 @@ TEST_F(NicTest, TransmitReachesEgress) {
   EXPECT_FALSE(nic_.PollEgress(&out));
 }
 
+// Books balance on egress: with nobody draining, transmits past the ring's
+// capacity are refused and counted, so every frame sent is either drained
+// by the client or a tx drop.
+TEST_F(NicTest, FullEgressRingCountsTxDrops) {
+  constexpr uint64_t kSent = 20;  // well past the 8-deep ring
+  const PacketRef pkt = MakeRequest(5);
+  uint64_t accepted = 0;
+  for (uint64_t i = 0; i < kSent; ++i) {
+    accepted += nic_.Transmit(1, pkt) ? 1 : 0;
+  }
+  uint64_t drained = 0;
+  PacketRef out;
+  while (nic_.PollEgress(&out)) {
+    ++drained;
+  }
+  EXPECT_EQ(drained, accepted);
+  EXPECT_GT(nic_.tx_drops(), 0u);
+  EXPECT_EQ(kSent, drained + nic_.tx_drops());
+  EXPECT_EQ(nic_.rx_drops(), 0u);
+}
+
 TEST_F(NicTest, EgressRoundRobinAcrossQueues) {
   const PacketRef a = MakeRequest(1);
   const PacketRef b = MakeRequest(2);

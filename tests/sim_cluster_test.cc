@@ -61,24 +61,23 @@ TEST(ClusterEngine, ConservesRequests) {
               0.02 * static_cast<double>(engine.generated()));
 }
 
-TEST(ClusterEngine, SnapshotExportsEventQueueBackend) {
+TEST(ClusterEngine, SnapshotExportsEventQueueCounters) {
   const WorkloadSpec w = HighBimodal();
   ClusterConfig c = FastConfig(0.5, w);
-  c.engine_backend = EngineBackend::kWheel;
   ClusterEngine engine(w, c, std::make_unique<CentralFcfsPolicy>());
   engine.Run();
   const TelemetrySnapshot snap = engine.telemetry_snapshot();
-  // Owned-simulation mode surfaces the backend counters (fleet servers leave
-  // them to the fleet snapshot instead).
+  // Owned-simulation mode surfaces the event-queue counters (fleet servers
+  // leave them to the fleet snapshot instead).
   ASSERT_TRUE(snap.counters.count("sim.engine.executed"));
   EXPECT_EQ(snap.counters.at("sim.engine.executed"),
             engine.sim().executed_events());
-  ASSERT_TRUE(snap.gauges.count("sim.engine.wheel_active"));
-  EXPECT_EQ(snap.gauges.at("sim.engine.wheel_active"), 1);
   ASSERT_TRUE(snap.counters.count("sim.engine.cascades"));
+  EXPECT_EQ(snap.counters.at("sim.engine.cascades"),
+            engine.sim().wheel_cascades());
   ASSERT_TRUE(snap.counters.count("sim.engine.rollovers"));
-  ASSERT_TRUE(snap.counters.count("sim.engine.backend_switches"));
-  EXPECT_EQ(snap.counters.at("sim.engine.backend_switches"), 0u);
+  ASSERT_TRUE(snap.counters.count("sim.engine.arena_allocations"));
+  ASSERT_TRUE(snap.gauges.count("sim.engine.pending_events"));
 }
 
 TEST(ClusterEngine, LowLoadLatencyIsServiceTimePlusNetwork) {

@@ -1,16 +1,16 @@
-// Adversarial tests for the hierarchical timer-wheel backend and the
-// wheel/heap selection layer (src/sim/event_queue.h): far-future horizons
-// that land in the top levels, multi-level cascade correctness, the same-tick
-// FIFO golden run against both backends, a large randomized differential
-// (heap and wheel must produce identical pop sequences), auto-selection
-// migration in both directions, and the bounded-peek regression (scheduling
-// into the gap RunUntil stopped in must not land behind the wheel).
+// Adversarial tests for the hierarchical timer wheel (src/sim/event_queue.h):
+// far-future horizons that land in the top levels, multi-level cascade
+// correctness, the same-tick FIFO golden, a large randomized differential
+// against a std::priority_queue reference ordered by (time, schedule index),
+// and the bounded-peek regression (scheduling into the gap RunUntil stopped
+// in must not land behind the wheel).
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <queue>
 #include <vector>
 
 namespace psp {
@@ -24,7 +24,7 @@ struct Rec {
   void operator()() const { out->push_back(id); }
 };
 
-TEST(WheelBackend, FarFutureHorizonsExecuteInOrder) {
+TEST(TimerWheel, FarFutureHorizonsExecuteInOrder) {
   // Times spanning every wheel level, including ones only the top levels can
   // index (there is no overflow list: 8 one-byte levels cover all 64 bits).
   const std::vector<Nanos> times = {
@@ -32,7 +32,7 @@ TEST(WheelBackend, FarFutureHorizonsExecuteInOrder) {
       256,                   0,    (Nanos{1} << 30), 257,  65536,
       (Nanos{1} << 20) + 17, 4096, (Nanos{1} << 45), 2,
   };
-  Simulation sim(EngineBackend::kWheel);
+  Simulation sim;
   std::vector<uint64_t> order;
   for (size_t i = 0; i < times.size(); ++i) {
     sim.ScheduleAt(times[i], Rec{&order, i});
@@ -50,12 +50,12 @@ TEST(WheelBackend, FarFutureHorizonsExecuteInOrder) {
   EXPECT_GT(sim.wheel_rollovers(), 0u);
 }
 
-TEST(WheelBackend, MultiLevelCascadePreservesTotalOrder) {
+TEST(TimerWheel, MultiLevelCascadePreservesTotalOrder) {
   // A few thousand events spread over a ~2^26-tick horizon: every one is
   // inserted at level 2-3 and must pour down through the intermediate levels
   // before it can run.
   constexpr uint64_t kEvents = 5000;
-  Simulation sim(EngineBackend::kWheel);
+  Simulation sim;
   std::vector<uint64_t> order;
   std::vector<Nanos> times(kEvents);
   for (uint64_t i = 0; i < kEvents; ++i) {
@@ -71,11 +71,11 @@ TEST(WheelBackend, MultiLevelCascadePreservesTotalOrder) {
   EXPECT_GT(sim.wheel_cascades(), kEvents / 2);  // deep inserts all cascade
 }
 
-// The FIFO golden: three ticks' handlers scheduled interleaved; both
-// backends must drain each tick in schedule order — the exact sequence the
+// The FIFO golden: three ticks' handlers scheduled interleaved; the wheel
+// must drain each tick in schedule order — the exact sequence the
 // determinism goldens (p99.9 replays, fleet byte-equality) depend on.
-void RunFifoGolden(EngineBackend backend) {
-  Simulation sim(backend);
+TEST(TimerWheel, SameTickFifoGolden) {
+  Simulation sim;
   std::vector<uint64_t> order;
   constexpr uint64_t kPerTick = 100;
   const Nanos ticks[3] = {40, 10, 20};
@@ -92,29 +92,77 @@ void RunFifoGolden(EngineBackend backend) {
   for (uint64_t t = 0; t < 3; ++t) {
     for (uint64_t i = 0; i < kPerTick; ++i) {
       ASSERT_EQ(order[t * kPerTick + i], tick_base[t] + i)
-          << "backend " << EngineBackendName(backend) << " tick group " << t
-          << " position " << i;
+          << "tick group " << t << " position " << i;
     }
   }
 }
 
-TEST(WheelBackend, SameTickFifoGoldenOnHeap) {
-  RunFifoGolden(EngineBackend::kHeap);
-}
-TEST(WheelBackend, SameTickFifoGoldenOnWheel) {
-  RunFifoGolden(EngineBackend::kWheel);
-}
+// Reference engine for the differential: a std::priority_queue ordered by
+// (time, schedule index) — the ordering contract stated directly. It mirrors
+// the Simulation calls the mixed workload makes and logs ids in execution
+// order.
+class ReferenceQueue {
+ public:
+  explicit ReferenceQueue(std::vector<uint64_t>* order) : order_(order) {}
+  Nanos Now() const { return now_; }
+  void ScheduleAt(Nanos t, uint64_t id) { queue_.push({t, next_index_++, id}); }
+  void RunUntil(Nanos until) {
+    while (!queue_.empty() && queue_.top().time <= until) {
+      Pop();
+    }
+    if (now_ < until) {
+      now_ = until;
+    }
+  }
+  void RunToCompletion() {
+    while (!queue_.empty()) {
+      Pop();
+    }
+  }
+
+ private:
+  struct Entry {
+    Nanos time;
+    uint64_t index;
+    uint64_t id;
+    // priority_queue pops the *largest*, so "greater" means "runs later".
+    bool operator<(const Entry& o) const {
+      return time != o.time ? time > o.time : index > o.index;
+    }
+  };
+  void Pop() {
+    now_ = queue_.top().time;
+    order_->push_back(queue_.top().id);
+    queue_.pop();
+  }
+  std::vector<uint64_t>* order_;
+  std::priority_queue<Entry> queue_;
+  uint64_t next_index_ = 0;
+  Nanos now_ = 0;
+};
+
+// The same interface over the wheel: each scheduled id runs as a Rec handler.
+class WheelUnderTest {
+ public:
+  explicit WheelUnderTest(std::vector<uint64_t>* order) : order_(order) {}
+  Nanos Now() const { return sim_.Now(); }
+  void ScheduleAt(Nanos t, uint64_t id) { sim_.ScheduleAt(t, Rec{order_, id}); }
+  void RunUntil(Nanos until) { sim_.RunUntil(until); }
+  void RunToCompletion() { sim_.RunToCompletion(); }
+
+ private:
+  std::vector<uint64_t>* order_;
+  Simulation sim_;
+};
 
 // Randomized differential: 1e6 mixed schedules — heavy same-tick ties,
 // short-horizon churn, mid-range spreads, and deep-cascade far futures,
 // interleaved with partial RunUntil drains — must produce the identical
-// execution sequence on both backends.
-std::vector<uint64_t> RunMixedWorkload(EngineBackend backend) {
+// execution sequence on the wheel and on the reference queue.
+template <typename Engine>
+void RunMixedWorkload(Engine* engine) {
   constexpr uint64_t kBatches = 100;
   constexpr uint64_t kPerBatch = 10000;  // 1e6 events total
-  Simulation sim(backend);
-  std::vector<uint64_t> order;
-  order.reserve(kBatches * kPerBatch);
   uint64_t lcg = 0x853c49e6748fea9bull;
   const auto next = [&lcg] {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -122,7 +170,7 @@ std::vector<uint64_t> RunMixedWorkload(EngineBackend backend) {
   };
   uint64_t id = 0;
   for (uint64_t b = 0; b < kBatches; ++b) {
-    const Nanos base = sim.Now();
+    const Nanos base = engine->Now();
     for (uint64_t i = 0; i < kPerBatch; ++i) {
       const uint64_t r = next();
       const uint64_t pick = r & 3;
@@ -136,35 +184,42 @@ std::vector<uint64_t> RunMixedWorkload(EngineBackend backend) {
       } else {
         t += static_cast<Nanos>((r >> 8) % (uint64_t{1} << 34));  // deep
       }
-      sim.ScheduleAt(t, Rec{&order, id++});
+      engine->ScheduleAt(t, id++);
     }
     // Partial drain: far events stay pending across batches, so later
     // batches schedule *around* older high-level entries.
-    sim.RunUntil(base + static_cast<Nanos>(next() % (uint64_t{1} << 22)));
+    engine->RunUntil(base + static_cast<Nanos>(next() % (uint64_t{1} << 22)));
   }
-  sim.RunToCompletion();
-  return order;
+  engine->RunToCompletion();
 }
 
-TEST(WheelBackend, RandomizedDifferentialMatchesHeap) {
-  const std::vector<uint64_t> heap_order =
-      RunMixedWorkload(EngineBackend::kHeap);
-  const std::vector<uint64_t> wheel_order =
-      RunMixedWorkload(EngineBackend::kWheel);
-  ASSERT_EQ(heap_order.size(), wheel_order.size());
-  ASSERT_EQ(heap_order.size(), 1000000u);
+TEST(TimerWheel, RandomizedDifferentialMatchesReferenceQueue) {
+  std::vector<uint64_t> reference_order;
+  reference_order.reserve(1000000);
+  ReferenceQueue reference(&reference_order);
+  RunMixedWorkload(&reference);
+
+  std::vector<uint64_t> wheel_order;
+  wheel_order.reserve(1000000);
+  WheelUnderTest wheel(&wheel_order);
+  RunMixedWorkload(&wheel);
+
+  ASSERT_EQ(reference_order.size(), 1000000u);
+  ASSERT_EQ(wheel_order.size(), reference_order.size());
+  EXPECT_EQ(wheel.Now(), reference.Now());
   // Element-wise loop instead of EXPECT_EQ on the vectors: on mismatch this
   // reports the first diverging position, not a 1e6-element dump.
-  for (size_t i = 0; i < heap_order.size(); ++i) {
-    ASSERT_EQ(heap_order[i], wheel_order[i]) << "first divergence at " << i;
+  for (size_t i = 0; i < reference_order.size(); ++i) {
+    ASSERT_EQ(reference_order[i], wheel_order[i])
+        << "first divergence at " << i;
   }
 }
 
 // Regression: RunUntil's peek must not advance the wheel past `until`. If it
 // did, an event scheduled afterwards into [until, next-pending) would land
 // behind the wheel and be lost or misordered.
-TEST(WheelBackend, ScheduleIntoRunUntilGapStaysOrdered) {
-  Simulation sim(EngineBackend::kWheel);
+TEST(TimerWheel, ScheduleIntoRunUntilGapStaysOrdered) {
+  Simulation sim;
   std::vector<uint64_t> order;
   sim.ScheduleAt(1000, Rec{&order, 0});
   sim.RunUntil(100);  // peeks the 1000-tick event, runs nothing
@@ -179,8 +234,8 @@ TEST(WheelBackend, ScheduleIntoRunUntilGapStaysOrdered) {
 
 // Same regression across a level boundary: the pending event sits in a
 // higher level, so the bounded peek must also stop mid-cascade.
-TEST(WheelBackend, ScheduleIntoGapAcrossLevelBoundary) {
-  Simulation sim(EngineBackend::kWheel);
+TEST(TimerWheel, ScheduleIntoGapAcrossLevelBoundary) {
+  Simulation sim;
   std::vector<uint64_t> order;
   sim.ScheduleAt(70000, Rec{&order, 0});  // level 2 relative to tick 0
   sim.RunUntil(100);
@@ -204,8 +259,8 @@ struct FarChain {
   }
 };
 
-TEST(WheelBackend, SteadyStateCascadesDoNotAllocate) {
-  Simulation sim(EngineBackend::kWheel);
+TEST(TimerWheel, SteadyStateCascadesDoNotAllocate) {
+  Simulation sim;
   uint64_t fired = 0;
   constexpr uint64_t kPending = 64;
   sim.Reserve(kPending + 8);
@@ -225,99 +280,6 @@ TEST(WheelBackend, SteadyStateCascadesDoNotAllocate) {
       << "wheel path must be allocation-free in steady state";
   EXPECT_GT(sim.wheel_cascades(), cascades_before);
   EXPECT_GT(fired, kPending);
-}
-
-// Auto mode: dense short-horizon schedules keep the wheel; a sparse
-// population spread over a huge horizon migrates to the heap; dense traffic
-// afterwards migrates back. Both migrations preserve ordering.
-TEST(WheelBackend, AutoSelectsWheelForDenseSchedules) {
-  Simulation sim;  // kAuto
-  EXPECT_TRUE(sim.wheel_active());
-  std::vector<uint64_t> order;
-  for (uint64_t i = 0; i < 4096; ++i) {
-    sim.ScheduleAt(sim.Now() + static_cast<Nanos>(i % 100),
-                   Rec{&order, i});
-    if (i % 7 == 0) {
-      sim.RunUntil(sim.Now() + 3);
-    }
-  }
-  sim.RunToCompletion();
-  EXPECT_TRUE(sim.wheel_active());
-  EXPECT_EQ(sim.backend_switches(), 0u);
-}
-
-TEST(WheelBackend, AutoMigratesToHeapForSparseHorizonsAndBack) {
-  Simulation sim;  // kAuto
-  uint64_t fired = 0;
-  // Phase 1: four pending events re-arming ~2^30 ticks out — mean span huge
-  // vs population, so the density heuristic must hand off to the heap.
-  for (uint64_t i = 0; i < 4; ++i) {
-    sim.ScheduleAt(static_cast<Nanos>(1 + i),
-                   FarChain{&sim, &fired,
-                            static_cast<Nanos>((uint64_t{1} << 30) + i)});
-  }
-  while (sim.executed_events() < 2048) {
-    sim.RunUntil(sim.Now() + (Nanos{1} << 31));
-  }
-  EXPECT_FALSE(sim.wheel_active());
-  EXPECT_GE(sim.backend_switches(), 1u);
-  const uint64_t switches_after_sparse = sim.backend_switches();
-
-  // Phase 2: a dense burst (2K events within a 256-tick window) must bring
-  // the wheel back, and the mixed pending set must still drain in order.
-  std::vector<uint64_t> order;
-  const Nanos base = sim.Now();
-  for (uint64_t i = 0; i < 2048; ++i) {
-    sim.ScheduleAt(base + static_cast<Nanos>(i % 256), Rec{&order, i});
-  }
-  EXPECT_TRUE(sim.wheel_active());
-  EXPECT_GT(sim.backend_switches(), switches_after_sparse);
-  sim.RunUntil(base + 256);
-  ASSERT_EQ(order.size(), 2048u);
-  // Within each tick, ids ascend (FIFO survived the heap->wheel migration).
-  Nanos last_tick = -1;
-  uint64_t last_id = 0;
-  for (const uint64_t id : order) {
-    const Nanos tick = base + static_cast<Nanos>(id % 256);
-    if (tick == last_tick) {
-      EXPECT_GT(id, last_id);
-    } else {
-      EXPECT_GT(tick, last_tick);
-    }
-    last_tick = tick;
-    last_id = id;
-  }
-}
-
-TEST(WheelBackend, ParseAndNameRoundTrip) {
-  EngineBackend backend = EngineBackend::kHeap;
-  EXPECT_TRUE(ParseEngineBackend("auto", &backend));
-  EXPECT_EQ(backend, EngineBackend::kAuto);
-  EXPECT_TRUE(ParseEngineBackend("wheel", &backend));
-  EXPECT_EQ(backend, EngineBackend::kWheel);
-  EXPECT_TRUE(ParseEngineBackend("heap", &backend));
-  EXPECT_EQ(backend, EngineBackend::kHeap);
-  EXPECT_FALSE(ParseEngineBackend("calendar", &backend));
-  EXPECT_STREQ(EngineBackendName(EngineBackend::kWheel), "wheel");
-  EXPECT_STREQ(EngineBackendName(EngineBackend::kHeap), "heap");
-  EXPECT_STREQ(EngineBackendName(EngineBackend::kAuto), "auto");
-}
-
-// Pinned-heap engines must keep reporting heap as the active backend and
-// never touch the wheel counters.
-TEST(WheelBackend, PinnedHeapNeverMigrates) {
-  Simulation sim(EngineBackend::kHeap);
-  EXPECT_FALSE(sim.wheel_active());
-  std::vector<uint64_t> order;
-  for (uint64_t i = 0; i < 4096; ++i) {
-    sim.ScheduleAt(static_cast<Nanos>(i % 50), Rec{&order, i});
-  }
-  sim.RunToCompletion();
-  EXPECT_FALSE(sim.wheel_active());
-  EXPECT_STREQ(sim.active_backend_name(), "heap");
-  EXPECT_EQ(sim.backend_switches(), 0u);
-  EXPECT_EQ(sim.wheel_cascades(), 0u);
-  EXPECT_EQ(sim.wheel_rollovers(), 0u);
 }
 
 }  // namespace
