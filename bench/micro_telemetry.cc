@@ -42,10 +42,10 @@ DarcScheduler* MakeScheduler() {
 
 // One timed batch of the dispatch loop with lifecycle tracing driven by
 // `sampler` (persistent across batches so 1-in-N cadence carries over).
-// Mirrors the runtime's stamping points: rx/classified/enqueued on the
-// dispatcher side, dispatched/handler/tx on the worker side, then the ring
-// commit.
-double TimedBatch(DarcScheduler* scheduler, TraceRing* ring,
+// Mirrors the runtime's stamping points: rx/classified/enqueued into a slab
+// slot on the dispatcher side, the slot's stamps moved into the work order at
+// dispatch, dispatched/handler/tx on the worker side, then the ring commit.
+double TimedBatch(DarcScheduler* scheduler, TraceSlab* slab, TraceRing* ring,
                   TraceSampler* sampler, uint64_t* next_id) {
   const TypeIndex short_t = scheduler->ResolveType(1);
   const TscClock& clock = TscClock::Global();
@@ -56,17 +56,17 @@ double TimedBatch(DarcScheduler* scheduler, TraceRing* ring,
     r.id = id;
     r.type = short_t;
     r.arrival = static_cast<Nanos>(id);
-    if (sampler->Tick()) {
-      r.trace.sampled = 1;
+    if (sampler->Tick() && (r.trace = slab->Acquire()) != kNoTrace) {
+      TraceContext& trace = slab->at(r.trace);
       const Nanos now = clock.Now();
-      r.trace.Mark(TraceStage::kRx, now);
-      r.trace.Mark(TraceStage::kClassified, now);
-      r.trace.Mark(TraceStage::kEnqueued, clock.Now());
+      trace.Mark(TraceStage::kRx, now);
+      trace.Mark(TraceStage::kClassified, now);
+      trace.Mark(TraceStage::kEnqueued, clock.Now());
     }
     scheduler->Enqueue(r, r.arrival);
     auto a = scheduler->NextAssignment(r.arrival);
-    if (a && a->request.trace.sampled != 0) {
-      TraceContext trace = a->request.trace;
+    if (a && a->request.trace != kNoTrace) {
+      TraceContext trace = slab->Take(a->request.trace);
       trace.Mark(TraceStage::kDispatched, clock.Now());
       const Nanos start = clock.Now();
       trace.Mark(TraceStage::kHandlerStart, start);
@@ -92,18 +92,20 @@ struct PassResults {
   double full = 1e18;
 };
 
-PassResults BestPasses(DarcScheduler* scheduler, TraceRing* ring) {
+PassResults BestPasses(DarcScheduler* scheduler, TraceSlab* slab,
+                       TraceRing* ring) {
   PassResults best;
   TraceSampler off(0);
   TraceSampler sampled(64);
   TraceSampler full(1);
   uint64_t next_id = 0;
   for (int round = 0; round < kRounds; ++round) {
-    best.off = std::min(best.off, TimedBatch(scheduler, ring, &off, &next_id));
-    best.sampled =
-        std::min(best.sampled, TimedBatch(scheduler, ring, &sampled, &next_id));
-    best.full =
-        std::min(best.full, TimedBatch(scheduler, ring, &full, &next_id));
+    best.off = std::min(best.off,
+                        TimedBatch(scheduler, slab, ring, &off, &next_id));
+    best.sampled = std::min(
+        best.sampled, TimedBatch(scheduler, slab, ring, &sampled, &next_id));
+    best.full = std::min(best.full,
+                         TimedBatch(scheduler, slab, ring, &full, &next_id));
   }
   return best;
 }
@@ -133,6 +135,7 @@ double BenchCounterAdd(Counter* counter) {
 
 int Main() {
   TraceRing ring(4096);
+  TraceSlab slab(1024);
 
   DarcScheduler* scheduler = MakeScheduler();
   // Warm caches + the TSC calibration before any timed batch.
@@ -140,11 +143,11 @@ int Main() {
     TraceSampler warm(0);
     uint64_t warm_id = 0;
     for (int i = 0; i < 20; ++i) {
-      TimedBatch(scheduler, &ring, &warm, &warm_id);
+      TimedBatch(scheduler, &slab, &ring, &warm, &warm_id);
     }
   }
 
-  const PassResults best = BestPasses(scheduler, &ring);
+  const PassResults best = BestPasses(scheduler, &slab, &ring);
   const double off_ns = best.off;
   const double sampled_ns = best.sampled;
   const double full_ns = best.full;

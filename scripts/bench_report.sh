@@ -22,6 +22,11 @@
 #     benchmark interleaves engine and legacy rounds so the shared-box clock
 #     wander cancels in the ratio; see bench/micro_sim_engine.cc and
 #     docs/PERF.md for the methodology.
+#   * dispatch decision cost: the median of micro_dispatcher's
+#     BM_DispatchDecision (enqueue + Algorithm 1 + completion on a seeded
+#     High Bimodal scheduler) must stay <= 70 ns; the five-type decision,
+#     profile update and update check are recorded alongside. Fatal in full
+#     mode, advisory in smoke.
 #   * scrape-under-load: a 10 Hz GET /metrics scraper against the live admin
 #     plane must keep the client-observed p99 within 5% of baseline
 #     (bench/micro_introspect.cc); failed scrapes are always fatal, the 5%
@@ -98,7 +103,8 @@ stage() {
 # so a Debug/sanitizer main build is never measured by accident.
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target micro_sim_engine micro_channel fig03_high_bimodal_policies \
+  --target micro_sim_engine micro_dispatcher micro_channel \
+           fig03_high_bimodal_policies \
            micro_introspect fig_fleet_policies micro_ingress micro_profiler \
            fig_deadline
 
@@ -107,14 +113,24 @@ mkdir -p "$WORK"
 
 if [ "$SMOKE" = 1 ]; then
   ENGINE_MIN_TIME=0.1
+  DISPATCH_REPS=3
 else
   ENGINE_MIN_TIME=1
+  DISPATCH_REPS=7
 fi
 
 stage engine "micro_sim_engine (events/sec, allocs/event, paired speedup)"
 "$BUILD/bench/micro_sim_engine" \
   --benchmark_min_time="$ENGINE_MIN_TIME" \
   --benchmark_format=json >"$WORK/engine.json"
+
+stage dispatcher "micro_dispatcher (ns per dispatch decision, profiler ops)"
+"$BUILD/bench/micro_dispatcher" \
+  --benchmark_filter='BM_(DispatchDecision|ProfileUpdate|UpdateCheck)' \
+  --benchmark_min_time="$ENGINE_MIN_TIME" \
+  --benchmark_repetitions="$DISPATCH_REPS" \
+  --benchmark_report_aggregates_only=true \
+  --benchmark_format=json >"$WORK/dispatcher.json"
 
 stage channel "micro_channel (cycles/op, single vs burst)"
 "$BUILD/bench/micro_channel" \
@@ -223,6 +239,7 @@ def load(name):
 
 engine = {b["name"]: b for b in load("engine.json")["benchmarks"]}
 channel = {b["name"]: b for b in load("channel.json")["benchmarks"]}
+dispatcher = {b["name"]: b for b in load("dispatcher.json")["benchmarks"]}
 
 # fig03 prints prose around the table; the JSON array sits on its own lines.
 with open(os.path.join(work, "fig03.out")) as f:
@@ -332,6 +349,19 @@ eng["schedule_drain_allocs_per_event"] = bench(
 eng["target_speedup"] = 3.0
 eng["stress_floor_speedup"] = 2.5  # 16384-batch floor (memory-bound regime)
 
+# Medians over repetitions, in ns (google-benchmark's default time unit).
+disp = {
+    "decision_ns": bench(
+        dispatcher, "BM_DispatchDecision_median", "real_time"),
+    "decision_five_types_ns": bench(
+        dispatcher, "BM_DispatchDecisionFiveTypes_median", "real_time"),
+    "profile_update_ns": bench(
+        dispatcher, "BM_ProfileUpdate_median", "real_time"),
+    "update_check_ns": bench(
+        dispatcher, "BM_UpdateCheck_median", "real_time"),
+    "decision_bound_ns": 70.0,
+}
+
 chan = {
     "spsc_cycles_per_op": bench(
         channel, "BM_SpscPushPopCycles", "cycles_per_op"),
@@ -355,6 +385,7 @@ report = {
     },
     "fig03_duration_ms": int(os.environ["FIG03_MS"]),
     "engine": eng,
+    "dispatcher": disp,
     "channel": chan,
     "fig03_high_bimodal": fig03,
     "fleet_duration_ms": int(os.environ["FLEET_MS"]),
@@ -474,6 +505,10 @@ if eng["paired_speedup_16384"] < eng["stress_floor_speedup"]:
     gates.append(f"paired speedup {eng['paired_speedup_16384']:.2f}x below "
                  f"{eng['stress_floor_speedup']:.1f}x stress floor "
                  "(batch 16384)")
+if disp["decision_ns"] > disp["decision_bound_ns"]:
+    gates.append(f"dispatch decision {disp['decision_ns']:.1f} ns above "
+                 f"{disp['decision_bound_ns']:.0f} ns bound "
+                 "(BM_DispatchDecision median)")
 if introspect.get("scrapes", 0) <= 0 or introspect.get("bad_scrapes", 1) > 0:
     errors.append("introspect scrape-under-load bench had failed scrapes")
 if introspect.get("delta_pct", 100.0) >= introspect["target_delta_pct"]:
@@ -550,6 +585,11 @@ print("  paired engine speedup: " + ", ".join(
 print(f"  cascade stress: "
       f"{eng['cascade_stress_cascades_per_event']:.2f} cascades/event, "
       f"{eng['cascade_stress_allocs_per_event']:.4f} allocs/event (want 0)")
+print(f"  dispatch decision: {disp['decision_ns']:.1f} ns (bound <= "
+      f"{disp['decision_bound_ns']:.0f} ns), five types "
+      f"{disp['decision_five_types_ns']:.1f} ns, profile update "
+      f"{disp['profile_update_ns']:.1f} ns, update check "
+      f"{disp['update_check_ns']:.1f} ns")
 print(f"  steady-state allocs/event: {eng['steady_allocs_per_event']:.4f} "
       f"(legacy {eng['legacy_steady_allocs_per_event']:.2f})")
 print(f"  spsc cycles/op: {chan['spsc_cycles_per_op']:.1f} single, "

@@ -62,7 +62,7 @@ DarcScheduler::DarcScheduler(const SchedulerConfig& config)
     throw std::invalid_argument(error);
   }
   free_.SetRange(0, config_.num_workers);
-  free_count_.store(config_.num_workers, std::memory_order_relaxed);
+  free_count_.Store(config_.num_workers);
   all_workers_.SetRange(0, config_.num_workers);
   const uint32_t spill =
       std::min(std::max(config_.num_spillway, 1u), config_.num_workers);
@@ -169,7 +169,7 @@ void DarcScheduler::ResizeWorkers(uint32_t new_count, Nanos now) {
     // to it (OnCompletion ignores out-of-range workers).
     free_.ClearRange(new_count, old_count);
   }
-  free_count_.store(free_.Count(), std::memory_order_relaxed);
+  free_count_.Store(free_.Count());
   if (time_ledger_ != nullptr) {
     time_ledger_->SetNumWorkers(new_count, now);
   }
@@ -235,18 +235,16 @@ DarcScheduler::EnqueueResult DarcScheduler::TryEnqueue(const Request& request,
   if (config_.deadline.shed && request.deadline > 0) {
     const uint32_t servers =
         darc_active_.load(std::memory_order_relaxed)
-            ? std::max(reserved_workers_of(type), 1u)
+            ? std::max(ReservedOf(type), 1u)
             : config_.num_workers;
     const AdmissionDecision decision = PredictAdmission(
         now, request.deadline, queue_depth(type), ExpectedMeanOf(type),
         servers,
         static_cast<int64_t>(config_.deadline.shed_safety * 1000.0));
     if (!decision.admit) {
-      counters_.dropped.fetch_add(1, std::memory_order_relaxed);
-      deadline_counters_.shed.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t sheds =
-          deadline_types_[type].shed.fetch_add(1, std::memory_order_relaxed) +
-          1;
+      counters_.dropped.Add();
+      deadline_counters_.shed.Add();
+      const uint64_t sheds = deadline_types_[type].shed.Add();
       if (telemetry_ != nullptr && (sheds & (sheds - 1)) == 0) {
         telemetry_->RecordEvent(
             now, "scheduler: deadline shed #" + std::to_string(sheds) +
@@ -262,16 +260,15 @@ DarcScheduler::EnqueueResult DarcScheduler::TryEnqueue(const Request& request,
   if (config_.mode == PolicyMode::kEdf) {
     pushed = edf_queue_.Push(request);
     if (pushed) {
-      deadline_types_[type].edf_depth.fetch_add(1, std::memory_order_relaxed);
+      deadline_types_[type].edf_depth.Add();
     } else {
-      deadline_types_[type].queue_drops.fetch_add(1,
-                                                  std::memory_order_relaxed);
+      deadline_types_[type].queue_drops.Add();
     }
   } else {
     pushed = queues_[type].Push(request);
   }
   if (!pushed) {
-    counters_.dropped.fetch_add(1, std::memory_order_relaxed);
+    counters_.dropped.Add();
     if (telemetry_ != nullptr) {
       // Rate-limited (power-of-two drop counts) so a sustained overload
       // doesn't flood the bounded event buffer.
@@ -285,9 +282,9 @@ DarcScheduler::EnqueueResult DarcScheduler::TryEnqueue(const Request& request,
     }
     return EnqueueResult::kQueueFull;
   }
-  counters_.enqueued.fetch_add(1, std::memory_order_relaxed);
+  counters_.enqueued.Add();
   if (request.deadline > 0) {
-    deadline_counters_.stamped.fetch_add(1, std::memory_order_relaxed);
+    deadline_counters_.stamped.Add();
   }
   return EnqueueResult::kOk;
 }
@@ -316,19 +313,17 @@ void DarcScheduler::FinishAssignment(Assignment* a, TypeIndex type,
         a->worker, a->stolen ? WorkerTimeState::kSteal : WorkerTimeState::kBusy,
         type, now);
   }
-  counters_.dispatched.fetch_add(1, std::memory_order_relaxed);
+  counters_.dispatched.Add();
   if (a->stolen) {
-    counters_.stolen_dispatches.fetch_add(1, std::memory_order_relaxed);
+    counters_.stolen_dispatches.Add();
   }
   profiler_.ObserveQueueingDelay(type, now - a->request.arrival);
   if (a->request.deadline > 0) {
     // Dispatch-time slack: positive = time to spare when service starts,
     // negative = already late. Sum/count render as a Prometheus summary.
     TypeDeadlineStats& stats = deadline_types_[type];
-    stats.slack_sum_nanos.fetch_add(
-        static_cast<int64_t>(a->request.deadline - now),
-        std::memory_order_relaxed);
-    stats.slack_samples.fetch_add(1, std::memory_order_relaxed);
+    stats.slack_sum_nanos.Add(static_cast<int64_t>(a->request.deadline - now));
+    stats.slack_samples.Add();
   }
 }
 
@@ -343,8 +338,7 @@ std::optional<DarcScheduler::Assignment> DarcScheduler::DispatchEdf(
   }
   a.worker = free_.First();
   a.stolen = false;
-  deadline_types_[a.request.type].edf_depth.fetch_sub(
-      1, std::memory_order_relaxed);
+  deadline_types_[a.request.type].edf_depth.Sub();
   FinishAssignment(&a, a.request.type, now);
   return a;
 }
@@ -478,14 +472,14 @@ void DarcScheduler::OnCompletion(WorkerId worker, TypeIndex type,
   // Workers at or beyond num_workers were retired by ResizeWorkers while
   // running; their completion still feeds the profiler but they never
   // re-enter the free list.
-  counters_.completed.fetch_add(1, std::memory_order_relaxed);
+  counters_.completed.Add();
   profiler_.RecordCompletion(type, service_time);
   if (deadline > 0) {
     if (now > deadline) {
-      deadline_counters_.missed.fetch_add(1, std::memory_order_relaxed);
-      deadline_types_[type].missed.fetch_add(1, std::memory_order_relaxed);
+      deadline_counters_.missed.Add();
+      deadline_types_[type].missed.Add();
     } else {
-      deadline_counters_.met.fetch_add(1, std::memory_order_relaxed);
+      deadline_counters_.met.Add();
     }
   }
 
@@ -536,18 +530,14 @@ void DarcScheduler::NoteWindowRollover(Nanos now) {
 }
 
 void DarcScheduler::ExportTelemetry(TelemetrySnapshot* out) const {
-  out->counters["scheduler.enqueued"] +=
-      counters_.enqueued.load(std::memory_order_relaxed);
-  out->counters["scheduler.dropped"] +=
-      counters_.dropped.load(std::memory_order_relaxed);
-  out->counters["scheduler.dispatched"] +=
-      counters_.dispatched.load(std::memory_order_relaxed);
-  out->counters["scheduler.completed"] +=
-      counters_.completed.load(std::memory_order_relaxed);
+  out->counters["scheduler.enqueued"] += counters_.enqueued.Value();
+  out->counters["scheduler.dropped"] += counters_.dropped.Value();
+  out->counters["scheduler.dispatched"] += counters_.dispatched.Value();
+  out->counters["scheduler.completed"] += counters_.completed.Value();
   out->counters["scheduler.reservation_updates"] +=
-      counters_.reservation_updates.load(std::memory_order_relaxed);
+      counters_.reservation_updates.Value();
   out->counters["scheduler.stolen_dispatches"] +=
-      counters_.stolen_dispatches.load(std::memory_order_relaxed);
+      counters_.stolen_dispatches.Value();
   out->gauges["scheduler.idle_workers"] = idle_workers();
   out->gauges["scheduler.darc_active"] =
       darc_active_.load(std::memory_order_relaxed) ? 1 : 0;
@@ -577,11 +567,10 @@ void DarcScheduler::ExportTelemetry(TelemetrySnapshot* out) const {
       DeadlineTypeStats rec;
       rec.type = t;
       rec.name = names_[t];
-      rec.missed = stats.missed.load(std::memory_order_relaxed);
-      rec.shed = stats.shed.load(std::memory_order_relaxed);
-      rec.slack_sum_nanos =
-          stats.slack_sum_nanos.load(std::memory_order_relaxed);
-      rec.slack_samples = stats.slack_samples.load(std::memory_order_relaxed);
+      rec.missed = stats.missed.Value();
+      rec.shed = stats.shed.Value();
+      rec.slack_sum_nanos = stats.slack_sum_nanos.Value();
+      rec.slack_samples = stats.slack_samples.Value();
       rec.budget_nanos = deadline_targets_[t];
       out->deadline_types.push_back(std::move(rec));
     }
@@ -613,9 +602,7 @@ void DarcScheduler::ApplyReservation(Reservation reservation, Nanos now) {
 
   reservation_ = std::move(reservation);
   darc_active_.store(true, std::memory_order_relaxed);
-  const uint64_t update_seq =
-      counters_.reservation_updates.fetch_add(1, std::memory_order_relaxed) +
-      1;
+  const uint64_t update_seq = counters_.reservation_updates.Add();
 
   // Per-type reserved-group core counts from the freshly applied reservation.
   std::vector<uint32_t> reserved_now(names_.size(), 0);
@@ -647,8 +634,7 @@ void DarcScheduler::ApplyReservation(Reservation reservation, Nanos now) {
     // Per-type transition events (only for types whose share changed) make
     // reservation shifts grep-able in the event log without parsing shares.
     for (TypeIndex t = 1; t < names_.size(); ++t) {
-      const uint32_t before =
-          t < published_reserved_.size() ? published_reserved_[t] : 0;
+      const uint32_t before = ReservedOf(t);
       if (before != reserved_now[t]) {
         std::string msg = "scheduler: type ";
         msg += names_[t];
@@ -677,6 +663,7 @@ void DarcScheduler::ApplyReservation(Reservation reservation, Nanos now) {
     telemetry_->RecordReservationUpdate(std::move(update));
   }
 
+  reserved_of_type_ = reserved_now;
   {
     std::lock_guard<std::mutex> lock(published_mutex_);
     published_reserved_ = std::move(reserved_now);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/single_writer_counter.h"
 #include "src/core/profiler.h"
 #include "src/core/request.h"
 #include "src/core/reservation.h"
@@ -170,45 +171,44 @@ class DarcScheduler {
   const Profiler& profiler() const { return profiler_; }
   // Applied reservation count; cheap enough to poll (one relaxed load).
   uint64_t reservation_updates() const {
-    return counters_.reservation_updates.load(std::memory_order_relaxed);
+    return counters_.reservation_updates.Value();
   }
   uint64_t completed() const {
-    return counters_.completed.load(std::memory_order_relaxed);
+    return counters_.completed.Value();
   }
   uint64_t dropped() const {
-    return counters_.dropped.load(std::memory_order_relaxed);
+    return counters_.dropped.Value();
   }
   uint64_t stolen_dispatches() const {
-    return counters_.stolen_dispatches.load(std::memory_order_relaxed);
+    return counters_.stolen_dispatches.Value();
   }
   uint64_t queue_drops(TypeIndex t) const {
-    return queues_[t].drops() +
-           deadline_types_[t].queue_drops.load(std::memory_order_relaxed);
+    return queues_[t].drops() + deadline_types_[t].queue_drops.Value();
   }
   size_t queue_depth(TypeIndex t) const {
     if (config_.mode == PolicyMode::kEdf) {
-      return deadline_types_[t].edf_depth.load(std::memory_order_relaxed);
+      return deadline_types_[t].edf_depth.Value();
     }
     return queues_[t].Size();
   }
   // --- Deadline tier introspection (all one relaxed load) ------------------
   uint64_t deadline_stamped() const {
-    return deadline_counters_.stamped.load(std::memory_order_relaxed);
+    return deadline_counters_.stamped.Value();
   }
   uint64_t deadline_shed() const {
-    return deadline_counters_.shed.load(std::memory_order_relaxed);
+    return deadline_counters_.shed.Value();
   }
   uint64_t deadline_missed() const {
-    return deadline_counters_.missed.load(std::memory_order_relaxed);
+    return deadline_counters_.missed.Value();
   }
   uint64_t deadline_met() const {
-    return deadline_counters_.met.load(std::memory_order_relaxed);
+    return deadline_counters_.met.Value();
   }
   uint64_t deadline_missed_of(TypeIndex t) const {
-    return deadline_types_[t].missed.load(std::memory_order_relaxed);
+    return deadline_types_[t].missed.Value();
   }
   uint64_t deadline_shed_of(TypeIndex t) const {
-    return deadline_types_[t].shed.load(std::memory_order_relaxed);
+    return deadline_types_[t].shed.Value();
   }
   // Reserved-core count of `t`'s group, from a copy published under a mutex
   // at every reservation change — safe to call from any thread while the
@@ -216,13 +216,18 @@ class DarcScheduler {
   uint32_t reserved_workers_of(TypeIndex t) const;
   bool AllWorkersIdle() const { return idle_workers() == config_.num_workers; }
   uint32_t idle_workers() const {
-    return free_count_.load(std::memory_order_relaxed);
+    return free_count_.Value();
   }
 
  private:
   static constexpr TypeIndex kUnknownSlot = 0;
 
   void ApplyReservation(Reservation reservation, Nanos now);
+  // Scheduling-thread twin of reserved_workers_of: reads the private copy,
+  // so the per-request admission predicate takes no lock.
+  uint32_t ReservedOf(TypeIndex t) const {
+    return t < reserved_of_type_.size() ? reserved_of_type_[t] : 0;
+  }
   void NoteWindowRollover(Nanos now);
   // Idle provenance: a free worker inside some group's reserved set while
   // DARC is active is idling "on purpose" (the paper's ideal idling).
@@ -253,35 +258,33 @@ class DarcScheduler {
                                 Nanos now);
 
   // The only two mutation paths for the free-worker bookkeeping: bitset and
-  // mirror counter move together, and the counter uses a single relaxed RMW
-  // (fetch_sub/fetch_add) instead of a load/store pair.
+  // mirror counter move together.
   void MarkWorkerBusy(WorkerId worker) {
     free_.Clear(worker);
-    free_count_.fetch_sub(1, std::memory_order_relaxed);
+    free_count_.Sub();
   }
   void MarkWorkerFree(WorkerId worker) {
     free_.Set(worker);
-    free_count_.fetch_add(1, std::memory_order_relaxed);
+    free_count_.Add();
   }
 
-  // Counters are relaxed atomics so cross-thread introspection (telemetry
-  // snapshots taken while the dispatcher runs) is race-free. All increments
-  // happen on the single scheduling thread.
-  struct AtomicCounters {
-    std::atomic<uint64_t> enqueued{0};
-    std::atomic<uint64_t> dropped{0};
-    std::atomic<uint64_t> dispatched{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> reservation_updates{0};
-    std::atomic<uint64_t> stolen_dispatches{0};
+  // Every counter below is written only on the single scheduling thread and
+  // read from any thread (telemetry snapshots taken while the dispatcher
+  // runs), hence SingleWriterCounter: no lock-prefixed RMW per decision.
+  struct Counters {
+    SingleWriterCounter<> enqueued;
+    SingleWriterCounter<> dropped;
+    SingleWriterCounter<> dispatched;
+    SingleWriterCounter<> completed;
+    SingleWriterCounter<> reservation_updates;
+    SingleWriterCounter<> stolen_dispatches;
   };
 
-  // Deadline-tier counters, same single-writer relaxed-atomic discipline.
   struct DeadlineCounters {
-    std::atomic<uint64_t> stamped{0};  // admitted requests carrying a deadline
-    std::atomic<uint64_t> shed{0};     // admission-control drops
-    std::atomic<uint64_t> missed{0};   // completed after their deadline
-    std::atomic<uint64_t> met{0};      // completed at or before their deadline
+    SingleWriterCounter<> stamped;  // admitted requests carrying a deadline
+    SingleWriterCounter<> shed;     // admission-control drops
+    SingleWriterCounter<> missed;   // completed after their deadline
+    SingleWriterCounter<> met;      // completed at or before their deadline
   };
 
   // Per-type deadline-tier state. Lives in a deque (types register
@@ -290,12 +293,12 @@ class DarcScheduler {
   // one EDF queue; slack is sampled at dispatch (deadline - now) and
   // exported as a Prometheus summary's sum/count pair.
   struct TypeDeadlineStats {
-    std::atomic<uint64_t> missed{0};
-    std::atomic<uint64_t> shed{0};
-    std::atomic<int64_t> slack_sum_nanos{0};
-    std::atomic<uint64_t> slack_samples{0};
-    std::atomic<uint64_t> edf_depth{0};
-    std::atomic<uint64_t> queue_drops{0};  // EDF-queue-full drops, per type
+    SingleWriterCounter<> missed;
+    SingleWriterCounter<> shed;
+    SingleWriterCounter<int64_t> slack_sum_nanos;
+    SingleWriterCounter<> slack_samples;
+    SingleWriterCounter<> edf_depth;
+    SingleWriterCounter<> queue_drops;  // EDF-queue-full drops, per type
   };
 
   SchedulerConfig config_;
@@ -331,12 +334,14 @@ class DarcScheduler {
   WorkerSet reserved_union_;
   // Mirror of free_.Count(), maintained at every Set/Clear site so
   // idle_workers() is one relaxed load instead of a racy bitset scan.
-  std::atomic<uint32_t> free_count_{0};
-  AtomicCounters counters_;
+  SingleWriterCounter<uint32_t> free_count_;
+  Counters counters_;
 
-  // Cross-thread introspection copy of the applied reservation: per-type
-  // reserved-group core counts, rewritten under the mutex by
-  // ApplyReservation (cold path) and read by reserved_workers_of.
+  // Per-type reserved-group core counts of the applied reservation, kept by
+  // ApplyReservation in two copies: a scheduling-thread-private one that the
+  // admission predicate reads per request without locking, and one
+  // published under the mutex for reserved_workers_of on other threads.
+  std::vector<uint32_t> reserved_of_type_;
   mutable std::mutex published_mutex_;
   std::vector<uint32_t> published_reserved_;
 };

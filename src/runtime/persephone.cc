@@ -315,8 +315,8 @@ WorkerUtilization Persephone::worker_utilization(uint32_t id) const {
   // time between the two reads; clamping wall to >= busy keeps the pair
   // coherent (BusyFraction() in [0, 1]) instead of transiently > 100%.
   const int64_t started = counters.started_at.load(std::memory_order_acquire);
-  u.busy = static_cast<Nanos>(counters.busy.load(std::memory_order_acquire));
-  u.requests = counters.requests.load(std::memory_order_relaxed);
+  u.busy = static_cast<Nanos>(counters.busy.Value());
+  u.requests = counters.requests.Value();
   if (started > 0) {
     const Nanos wall = TscClock::Global().Now() - started;
     u.wall = wall > u.busy ? wall : u.busy;
@@ -671,8 +671,8 @@ void Persephone::DispatcherLoop() {
       order.wire_id = assignment->request.wire_id;
       order.client_id = assignment->request.client_id;
       order.deadline = assignment->request.deadline;
-      order.trace = assignment->request.trace;
-      if (order.trace.sampled != 0) {
+      if (assignment->request.trace != kNoTrace) {
+        order.trace = trace_slab_.Take(assignment->request.trace);
         order.trace.Mark(TraceStage::kDispatched, clock.Now());
       }
       const bool pushed = channels_[assignment->worker]->PushOrder(order);
@@ -730,15 +730,17 @@ void Persephone::IngestPacket(const PacketRef& packet, Nanos now,
   // clients that never set the bit.
   const bool wire_sampled =
       (parsed->psp.trace_flags & PspHeader::kFlagTraceSampled) != 0;
-  if (sampler->Tick() || wire_sampled) {
-    request.trace.sampled = 1;
+  // With every slab slot live the request simply goes unsampled.
+  if ((sampler->Tick() || wire_sampled) &&
+      (request.trace = trace_slab_.Acquire()) != kNoTrace) {
+    TraceContext& trace = trace_slab_.at(request.trace);
     // The NIC's hardware-style stamp captures RX-queue wait; fall back to
     // the poll instant for frames delivered without one.
-    request.trace.Mark(TraceStage::kRx,
-                       packet.rx_timestamp != 0 ? packet.rx_timestamp : now);
+    trace.Mark(TraceStage::kRx,
+               packet.rx_timestamp != 0 ? packet.rx_timestamp : now);
     const Nanos classified = clock.Now();
-    request.trace.Mark(TraceStage::kClassified, classified);
-    request.trace.Mark(TraceStage::kEnqueued, classified);
+    trace.Mark(TraceStage::kClassified, classified);
+    trace.Mark(TraceStage::kEnqueued, classified);
   }
   // Series semantics match the simulator: arrivals = offered load (recorded
   // whether or not flow control sheds the request).
@@ -755,6 +757,7 @@ void Persephone::IngestPacket(const PacketRef& packet, Nanos now,
         ts->RecordDeadlineShed(series_slots_[request.type], now);
       }
     }
+    trace_slab_.Release(request.trace);
     pool_->FreeGlobal(packet.data);
   }
 }
@@ -894,9 +897,8 @@ void Persephone::WorkerLoop(uint32_t worker_id) {
       pool_->FreeGlobal(frame);
     }
     const Nanos service = clock.Now() - start;
-    counters.busy.fetch_add(static_cast<uint64_t>(service),
-                            std::memory_order_relaxed);
-    counters.requests.fetch_add(1, std::memory_order_relaxed);
+    counters.busy.Add(static_cast<uint64_t>(service));
+    counters.requests.Add();
     if (order.trace.sampled != 0) {
       // Commit the completed lifecycle record into this worker's ring.
       RequestTrace record;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/common/memory_pool.h"
+#include "src/common/single_writer_counter.h"
 #include "src/core/classifier.h"
 #include "src/core/scheduler.h"
 #include "src/introspect/admin.h"
@@ -148,6 +149,11 @@ class Persephone {
   const DarcScheduler& scheduler() const { return *scheduler_; }
 
   // --- Observability ----------------------------------------------------------
+  // Sampled requests the dispatcher holds queued at once (its TraceSlab):
+  // beyond this many, further requests go unsampled until dispatches free
+  // slots.
+  static constexpr uint32_t kTraceSlabSlots = 1024;
+
   // The unified introspection surface: counters, gauges, per-worker
   // utilization, scheduler state and sampled lifecycle traces, in one
   // self-contained snapshot. Safe to call while the server runs.
@@ -238,9 +244,10 @@ class Persephone {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
 
+  // Written only by worker w's own thread; read by snapshots.
   struct WorkerCounters {
-    std::atomic<uint64_t> busy{0};
-    std::atomic<uint64_t> requests{0};
+    SingleWriterCounter<uint64_t> busy;
+    SingleWriterCounter<uint64_t> requests;
     std::atomic<int64_t> started_at{0};
   };
   std::vector<std::unique_ptr<WorkerCounters>> worker_counters_;
@@ -250,6 +257,10 @@ class Persephone {
   Counter* rx_packets_ = nullptr;
   Counter* malformed_ = nullptr;
   uint64_t next_request_id_ = 0;
+  // Stamps of sampled requests between ingress and dispatch. Dispatcher
+  // thread only; a member rather than a DispatcherLoop local because
+  // requests still queued at Stop() keep their handles across a restart.
+  TraceSlab trace_slab_{kTraceSlabSlots};
 
   // Time-series recorder slot per TypeIndex (empty when the recorder is off).
   std::vector<size_t> series_slots_;

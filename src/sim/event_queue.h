@@ -148,7 +148,8 @@ class Simulation {
   uint64_t arena_allocations() const { return arena_allocations_; }
   size_t arena_capacity() const { return slots_.capacity(); }
 
-  // Entries poured one level down during a bucket rollover (per-event moves).
+  // Entries poured down a level or more during a bucket rollover (per-event
+  // moves).
   uint64_t wheel_cascades() const { return cascades_; }
   // Higher-level buckets cascaded (per-bucket rollover operations).
   uint64_t wheel_rollovers() const { return rollovers_; }
@@ -316,8 +317,8 @@ class Simulation {
         return true;
       }
       // Level 0 is drained: roll the first pending bucket of the lowest
-      // non-empty level over, pouring its entries one level down (they
-      // re-enqueue relative to the advanced wheel_time_).
+      // non-empty level over, pouring its entries down (they re-enqueue
+      // relative to the advanced wheel_time_).
       uint32_t level = 1;
       int bucket = -1;
       for (; level < kWheelLevels; ++level) {
@@ -330,29 +331,33 @@ class Simulation {
         }
       }
       assert(bucket >= 0 && "pending_ > 0 but every bitmap is empty");
-      const uint32_t shift = level * kWheelLevelBits;
-      // Jump to the start of the bucket's span: keep the bytes above the
-      // level, set the level's byte, zero everything below. When the bucket
-      // is the current byte's own, this moves wheel_time_ *down* within its
-      // span — safe, since it lowers every byte and scans only start earlier.
-      const uint64_t keep_mask =
-          level + 1 >= kWheelLevels
-              ? uint64_t{0}
-              : ~uint64_t{0} << ((level + 1) * kWheelLevelBits);
-      const uint64_t jump = (wheel_time_ & keep_mask) |
-                            (static_cast<uint64_t>(bucket) << shift);
-      if (jump > bound) {
-        // Every pending event's time >= the start of this bucket's span.
-        return false;
-      }
-      wheel_time_ = jump;
+      // Exact-minimum rollover: jump to the bucket's earliest time. Re-
+      // enqueued relative to it, the earliest entries land directly in
+      // level 0 and the rest one or more levels lower, so an event is poured
+      // at most once per rollover rather than once per level on its way
+      // down. Every entry shares the bytes above `level` with wheel_time_,
+      // so only bytes <= level move, and levels below `level` are empty here
+      // (nothing was found in them): the structural invariants of the layout
+      // comment hold for the new wheel_time_, which never moves backwards.
       WheelLevel& L = wheel_[level];
       WheelBucket& b = L.buckets[bucket];
+      uint64_t min_time = ~uint64_t{0};
+      for (uint32_t cur = b.head; cur != kNoSlot; cur = nodes_[cur].next) {
+        if (nodes_[cur].time < min_time) {
+          min_time = nodes_[cur].time;
+        }
+      }
+      if (min_time > bound) {
+        return false;
+      }
+      wheel_time_ = min_time;
       uint32_t cur = b.head;
       b.head = kNoSlot;
       b.tail = kNoSlot;
       L.bitmap[bucket >> 6] &= ~(uint64_t{1} << (bucket & 63));
       ++rollovers_;
+      // List order is kept: same-time entries append to one target bucket
+      // in the order they sat here, which preserves FIFO among equal times.
       while (cur != kNoSlot) {
         const uint32_t next = nodes_[cur].next;
         nodes_[cur].next = kNoSlot;
@@ -381,7 +386,7 @@ class Simulation {
   }
 
   void StepOne() {
-    uint64_t t;
+    uint64_t t = 0;
     // Unbounded prepare is safe here: the pop below immediately brings now_
     // up to wheel_time_, so no schedule can land behind the wheel.
     const bool ok = WheelPrepareMin(~uint64_t{0}, &t);

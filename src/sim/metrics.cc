@@ -10,29 +10,38 @@ const std::string kUnnamed = "?";
 
 }  // namespace
 
+size_t Metrics::IndexOf(TypeId wire_id) const {
+  // Linear scan: workloads have a handful of types, and scanning a few
+  // contiguous ids is cheaper than a std::map walk on every completion.
+  size_t i = 0;
+  while (i < type_ids_.size() && type_ids_[i] != wire_id) {
+    ++i;
+  }
+  return i;
+}
+
 void Metrics::RegisterType(TypeId wire_id, std::string name) {
-  if (index_.contains(wire_id)) {
-    types_[index_[wire_id]].name = std::move(name);
+  const size_t i = IndexOf(wire_id);
+  if (i < types_.size()) {
+    types_[i].name = std::move(name);
     return;
   }
-  index_[wire_id] = types_.size();
   type_ids_.push_back(wire_id);
   types_.emplace_back();
   types_.back().name = std::move(name);
 }
 
 Metrics::PerType& Metrics::SlotFor(TypeId wire_id) {
-  auto it = index_.find(wire_id);
-  if (it == index_.end()) {
+  const size_t i = IndexOf(wire_id);
+  if (i == types_.size()) {
     RegisterType(wire_id, "type-" + std::to_string(wire_id));
-    it = index_.find(wire_id);
   }
-  return types_[it->second];
+  return types_[i];
 }
 
 const Metrics::PerType* Metrics::FindSlot(TypeId wire_id) const {
-  const auto it = index_.find(wire_id);
-  return it == index_.end() ? nullptr : &types_[it->second];
+  const size_t i = IndexOf(wire_id);
+  return i < types_.size() ? &types_[i] : nullptr;
 }
 
 void Metrics::RecordCompletion(TypeId wire_id, Nanos send_time,
@@ -144,9 +153,9 @@ void Metrics::ExportTelemetry(TelemetrySnapshot* out) const {
   }
   out->histograms["engine.latency"].Merge(overall_latency_);
   out->histograms["engine.slowdown_milli"].Merge(overall_slowdown_);
-  for (const TypeId wire_id : type_ids_) {
-    const PerType& slot = types_[index_.at(wire_id)];
-    out->type_names.emplace(wire_id, slot.name);
+  for (size_t i = 0; i < types_.size(); ++i) {
+    const PerType& slot = types_[i];
+    out->type_names.emplace(type_ids_[i], slot.name);
     const std::string prefix = "engine.type." + slot.name;
     out->counters[prefix + ".completed"] += slot.latency.Count();
     out->counters[prefix + ".dropped"] += slot.drops;

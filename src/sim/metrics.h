@@ -120,13 +120,14 @@ class Metrics {
     std::map<int64_t, std::vector<Nanos>> buckets;
   };
 
+  // Position of `wire_id` in type_ids_, or type_ids_.size() when absent.
+  size_t IndexOf(TypeId wire_id) const;
   PerType& SlotFor(TypeId wire_id);
   const PerType* FindSlot(TypeId wire_id) const;
 
   Nanos warmup_end_;
   Nanos bucket_width_ = 0;
-  std::map<TypeId, size_t> index_;
-  std::vector<TypeId> type_ids_;
+  std::vector<TypeId> type_ids_;  // parallel to types_
   std::vector<PerType> types_;
   Histogram overall_slowdown_;
   Histogram overall_latency_;

@@ -4,12 +4,15 @@
 // per-thread rings so the dispatcher's ~100 ns per-request budget (§4.3.3)
 // is preserved.
 //
-// The stamps travel *in-band* with the request (TraceContext rides inside
-// psp::Request and the dispatcher→worker WorkOrder), so a record is only
-// ever written by the thread currently owning the request; the completed
-// record is committed once, by the worker, into its own TraceRing. Readers
-// (TelemetrySnapshot assembly) never block writers: each ring slot carries a
-// seqlock-style sequence number and torn reads are simply discarded.
+// On the dispatcher side the stamps live in a per-dispatcher TraceSlab, and a
+// sampled psp::Request carries only a 32-bit slab handle (0 = not sampled),
+// which keeps Request within one cache line. At dispatch the stamps are
+// copied into the dispatcher→worker WorkOrder and the slot is released, so a
+// record is only ever written by the thread currently owning the request;
+// the completed record is committed once, by the worker, into its own
+// TraceRing. Readers (TelemetrySnapshot assembly) never block writers: each
+// ring slot carries a seqlock-style sequence number and torn reads are
+// simply discarded.
 #ifndef PSP_SRC_TELEMETRY_LIFECYCLE_H_
 #define PSP_SRC_TELEMETRY_LIFECYCLE_H_
 
@@ -74,9 +77,10 @@ struct RequestTrace {
   }
 };
 
-// In-band stamp carrier embedded in a request while it flows through the
-// pipeline. Only the thread currently owning the request touches it, so no
-// synchronisation is needed until the final commit into a TraceRing.
+// Stamp carrier for one request in flight: a TraceSlab slot on the
+// dispatcher side, then inline in the WorkOrder on the worker side. Only the
+// thread currently owning the request touches it, so no synchronisation is
+// needed until the final commit into a TraceRing.
 struct TraceContext {
   std::array<Nanos, kNumTraceStages> stamp{};
   uint8_t sampled = 0;  // 1 = this request is being traced
@@ -84,6 +88,58 @@ struct TraceContext {
   void Mark(TraceStage stage, Nanos now) {
     stamp[static_cast<size_t>(stage)] = now;
   }
+};
+
+// Handle of a TraceSlab slot; kNoTrace means "not sampled".
+using TraceHandle = uint32_t;
+inline constexpr TraceHandle kNoTrace = 0;
+
+// Fixed pool of TraceContexts for the requests a dispatcher has sampled but
+// not yet dispatched, owned by that dispatcher thread. A slot is acquired at
+// ingress and released when its stamps move into the WorkOrder (Take) or the
+// request is dropped or shed (Release). A live slot is never handed out
+// again: when every slot is live, Acquire returns kNoTrace and the request
+// simply goes unsampled.
+class TraceSlab {
+ public:
+  explicit TraceSlab(uint32_t capacity) : slots_(capacity + 1) {
+    free_.reserve(capacity);
+    for (TraceHandle h = capacity; h > kNoTrace; --h) {
+      free_.push_back(h);
+    }
+  }
+
+  // A free slot with cleared stamps and `sampled` set, or kNoTrace.
+  TraceHandle Acquire() {
+    if (free_.empty()) {
+      return kNoTrace;
+    }
+    const TraceHandle handle = free_.back();
+    free_.pop_back();
+    slots_[handle] = TraceContext{};
+    slots_[handle].sampled = 1;
+    return handle;
+  }
+
+  TraceContext& at(TraceHandle handle) { return slots_[handle]; }
+
+  // Copies the slot's stamps out and frees it.
+  TraceContext Take(TraceHandle handle) {
+    const TraceContext context = slots_[handle];
+    Release(handle);
+    return context;
+  }
+
+  // Frees the slot; kNoTrace is a no-op.
+  void Release(TraceHandle handle) {
+    if (handle != kNoTrace) {
+      free_.push_back(handle);
+    }
+  }
+
+ private:
+  std::vector<TraceContext> slots_;  // slot 0 unused (kNoTrace)
+  std::vector<TraceHandle> free_;    // stack of free handles
 };
 
 // 1-in-N sampling decision, owned by a single thread (the dispatcher / the

@@ -15,9 +15,11 @@
 // One ledger instance serves both substrates. In the threaded runtime every
 // per-slot field is a relaxed atomic with a single writer (the dispatcher
 // thread drives worker-slot transitions; the dispatcher's own pseudo-slot is
-// written only by itself), so concurrent snapshot reads are race-free under
-// TSan; cross-field skew is bounded by one in-flight span. In the simulator
-// the single thread and virtual clock make totals bit-deterministic per seed.
+// written only by itself), so the totals are SingleWriterCounters (no
+// lock-prefixed RMW per transition) and concurrent snapshot reads are
+// race-free under TSan; cross-field skew is bounded by one in-flight span.
+// In the simulator the single thread and virtual clock make totals
+// bit-deterministic per seed.
 #ifndef PSP_SRC_TELEMETRY_TIMELEDGER_H_
 #define PSP_SRC_TELEMETRY_TIMELEDGER_H_
 
@@ -31,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/single_writer_counter.h"
 #include "src/common/time.h"
 
 namespace psp {
@@ -148,8 +151,8 @@ class WorkerTimeLedger {
 
  private:
   struct alignas(64) Slot {
-    std::array<std::atomic<uint64_t>, kNumWorkerTimeStates> accum{};
-    std::array<std::atomic<uint64_t>, kMaxLedgerTypes> type_ns{};
+    std::array<SingleWriterCounter<uint64_t>, kNumWorkerTimeStates> accum;
+    std::array<SingleWriterCounter<uint64_t>, kMaxLedgerTypes> type_ns;
     std::atomic<int64_t> since{0};
     std::atomic<int64_t> opened_at{-1};
     std::atomic<uint32_t> packed{0};

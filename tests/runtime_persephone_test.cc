@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/apps/kvstore.h"
 #include "src/apps/synthetic.h"
@@ -312,6 +316,71 @@ TEST(Runtime, TelemetryTracesDecomposeEndToEndLatency) {
   const auto breakdown = snap.StageBreakdown();
   ASSERT_FALSE(breakdown.empty());
   EXPECT_FALSE(snap.StageReport().empty());
+}
+
+// Deep backlog at sampling=1: one slow worker and thousands of frames
+// delivered at once keep far more requests queued than the dispatcher's
+// trace slab has slots, so the slab runs dry and refills as requests
+// dispatch. Every committed record must still be its own request's: its wire
+// id pairs with its ingest order, its rx stamp is the one the NIC put on
+// that frame, and its stages are ordered. A shared slot would hand one
+// request another's stamps.
+TEST(Runtime, TraceSlabNeverSharesSlotsUnderDeepBacklog) {
+  RuntimeConfig config = SmallRuntime();
+  config.num_workers = 1;
+  config.nic_queue_depth = 4096;
+  config.pool_buffers = 4096;
+  config.telemetry.sample_every = 1;
+  Persephone server(config);
+  server.RegisterType(1, "SPIN", MakeSpinHandler(), FromMicros(10), 1.0);
+  server.Start();
+
+  constexpr uint64_t kRequests = 3000;
+  constexpr uint64_t kWireBase = 1000000;
+  const Nanos spin = FromMicros(10);
+  const TscClock& clock = TscClock::Global();
+  // The NIC stamps each frame on delivery; [before, after] brackets it.
+  std::vector<std::pair<Nanos, Nanos>> rx_window(kRequests);
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    RequestFrame frame;
+    frame.request_type = 1;
+    frame.request_id = kWireBase + i;
+    frame.payload = reinterpret_cast<const std::byte*>(&spin);
+    frame.payload_length = sizeof(spin);
+    std::byte* buf = server.pool().AllocGlobal();
+    ASSERT_NE(buf, nullptr);
+    const uint32_t len =
+        BuildRequestPacket(frame, buf, server.pool().buffer_size());
+    rx_window[i].first = clock.Now();
+    ASSERT_TRUE(server.nic().DeliverToQueue(0, PacketRef{buf, len}));
+    rx_window[i].second = clock.Now();
+  }
+  const Nanos deadline = clock.Now() + 10 * kSecond;
+  while (server.scheduler().completed() < kRequests && clock.Now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.Stop();
+  ASSERT_EQ(server.scheduler().completed(), kRequests);
+
+  const TelemetrySnapshot snap = server.telemetry_snapshot();
+  // The slab starts with every slot free, so at least its first fill of
+  // requests is traced.
+  EXPECT_GE(snap.traces.size(), Persephone::kTraceSlabSlots);
+  std::vector<bool> seen(kRequests, false);
+  for (const RequestTrace& t : snap.traces) {
+    ASSERT_LT(t.request_id, kRequests);
+    EXPECT_EQ(t.wire_request_id, kWireBase + t.request_id);
+    EXPECT_FALSE(seen[t.request_id]) << "request " << t.request_id;
+    seen[t.request_id] = true;
+    EXPECT_GE(t.At(TraceStage::kRx), rx_window[t.request_id].first)
+        << "request " << t.request_id;
+    EXPECT_LE(t.At(TraceStage::kRx), rx_window[t.request_id].second)
+        << "request " << t.request_id;
+    for (size_t s = 1; s < kNumTraceStages; ++s) {
+      EXPECT_LE(t.stamp[s - 1], t.stamp[s])
+          << "request " << t.request_id << " stage " << s;
+    }
+  }
 }
 
 TEST(Runtime, TelemetrySamplingThinsTraces) {

@@ -247,6 +247,49 @@ TEST(TimerWheel, ScheduleIntoGapAcrossLevelBoundary) {
   EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 0}));
 }
 
+// Exact-minimum rollover: a rollover jumps the wheel to the earliest time in
+// the bucket it pours, so an event alone five levels up lands directly in
+// level 0 — one cascade, not one per level with a non-zero byte.
+TEST(TimerWheel, LoneFarEventCascadesExactlyOnce) {
+  Simulation sim;
+  std::vector<uint64_t> order;
+  const Nanos t = 0x010203040506;  // every byte 0-5 non-zero: level 5
+  sim.ScheduleAt(t, Rec{&order, 0});
+  sim.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<uint64_t>{0}));
+  EXPECT_EQ(sim.Now(), t);
+  EXPECT_EQ(sim.wheel_rollovers(), 1u);
+  EXPECT_EQ(sim.wheel_cascades(), 1u);
+}
+
+// Equal-time events scheduled at different moments share one high-level
+// bucket with an earlier and a later time; they must still run in schedule
+// order through two rollovers (the first stops at the bucket's minimum, the
+// second lands exactly on the shared time), and bounded peeks in between
+// must not pour a bucket whose minimum lies past the horizon.
+TEST(TimerWheel, EqualTimesStayFifoAcrossRollovers) {
+  Simulation sim;
+  std::vector<uint64_t> order;
+  constexpr Nanos kFar = (Nanos{3} << 32) + 777;  // level 4 from tick 0
+  sim.ScheduleAt(kFar, Rec{&order, 0});
+  sim.ScheduleAt(kFar + 5, Rec{&order, 1});
+  sim.ScheduleAt(kFar, Rec{&order, 2});
+  sim.ScheduleAt(kFar - 300, Rec{&order, 3});  // the bucket's minimum
+  sim.ScheduleAt(kFar, Rec{&order, 4});
+  sim.RunUntil(1000);  // minimum past the horizon: nothing poured
+  EXPECT_EQ(sim.wheel_rollovers(), 0u);
+  sim.ScheduleAt(kFar, Rec{&order, 5});
+  sim.RunUntil(kFar - 300);  // pours to the minimum, runs event 3 only
+  EXPECT_EQ(order, (std::vector<uint64_t>{3}));
+  sim.ScheduleAt(kFar, Rec{&order, 6});
+  sim.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<uint64_t>{3, 0, 2, 4, 5, 6, 1}));
+  EXPECT_EQ(sim.wheel_rollovers(), 2u);
+  // Rollover 1 pours events 0-5 (3 to level 0, the rest to level 1);
+  // rollover 2 pours the six then at level 1 (0, 1, 2, 4, 5, 6).
+  EXPECT_EQ(sim.wheel_cascades(), 12u);
+}
+
 // Self-rescheduling handler with a far-future stride: keeps the wheel
 // cascading in steady state.
 struct FarChain {

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/apps/synthetic.h"
@@ -242,6 +244,72 @@ TEST(TimeLedger, RuntimeStatesSumToMeasuredWall) {
     EXPECT_LE(sum, 1000);
   }
   EXPECT_TRUE(saw_interval);
+}
+
+// The scheduler's counters, the ledger's accumulated totals and the
+// per-worker counters are SingleWriterCounters: one writer thread each,
+// readers anywhere. A reader polling all of them while the dispatcher and
+// workers run must never see a value go down (and, under TSan, must not
+// race with the writers).
+TEST(TimeLedger, ConcurrentReaderNeverSeesSingleWriterCountersGoDown) {
+  RuntimeConfig config;
+  config.num_workers = 2;
+  config.pool_buffers = 1024;
+  Persephone server(config);
+  server.RegisterType(1, "SHORT", MakeSpinHandler(), FromMicros(2), 0.9);
+  server.RegisterType(2, "LONG", MakeSpinHandler(), FromMicros(50), 0.1);
+  server.Start();
+
+  std::atomic<bool> done{false};
+  uint64_t polls = 0;
+  uint64_t decreases = 0;
+  std::thread reader([&] {
+    const DarcScheduler& scheduler = server.scheduler();
+    std::vector<uint64_t> last;
+    std::vector<uint64_t> current;
+    while (!done.load(std::memory_order_acquire)) {
+      current.clear();
+      current.push_back(scheduler.completed());
+      current.push_back(scheduler.dropped());
+      current.push_back(scheduler.stolen_dispatches());
+      current.push_back(scheduler.reservation_updates());
+      for (uint32_t w = 0; w < server.num_workers(); ++w) {
+        const WorkerUtilization u = server.worker_utilization(w);
+        current.push_back(static_cast<uint64_t>(u.busy));
+        current.push_back(u.requests);
+      }
+      // Snapshot at time 0: accumulated totals only, no in-progress span
+      // (which a concurrent transition may legitimately re-attribute).
+      for (const WorkerTimeRecord& rec :
+           server.time_ledger().SnapshotTotals(0, nullptr)) {
+        current.insert(current.end(), rec.state_ns.begin(),
+                       rec.state_ns.end());
+      }
+      if (last.size() == current.size()) {
+        for (size_t i = 0; i < current.size(); ++i) {
+          decreases += current[i] < last[i] ? 1 : 0;
+        }
+      }
+      last.swap(current);
+      ++polls;
+    }
+  });
+
+  LoadGenConfig lg;
+  lg.rate_rps = 5000;
+  lg.total_requests = 1500;
+  LoadGenerator gen(&server,
+                    {MakeSpinSpec(1, "SHORT", 0.9, FromMicros(2)),
+                     MakeSpinSpec(2, "LONG", 0.1, FromMicros(50))},
+                    lg);
+  gen.Run();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  server.Stop();
+
+  EXPECT_GT(polls, 1u);
+  EXPECT_EQ(decreases, 0u);
+  EXPECT_GT(server.scheduler().completed(), 0u);
 }
 
 }  // namespace
