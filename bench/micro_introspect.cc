@@ -11,11 +11,6 @@
 // scripts/bench_report.sh).
 // Exit codes: 0 ok, 1 gate breach, 2 operational failure (no scrapes landed
 // or malformed exposition).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -26,6 +21,7 @@
 #include <thread>
 
 #include "src/apps/synthetic.h"
+#include "src/introspect/admin_client.h"
 #include "src/runtime/loadgen.h"
 #include "src/runtime/persephone.h"
 
@@ -37,38 +33,6 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
   return value != nullptr && *value != '\0'
              ? std::strtoull(value, nullptr, 10)
              : fallback;
-}
-
-// Minimal blocking GET against the loopback admin port; returns the body or
-// "" on failure.
-std::string ScrapeMetrics(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return "";
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return "";
-  }
-  const char req[] = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
-  if (::write(fd, req, sizeof(req) - 1) !=
-      static_cast<ssize_t>(sizeof(req) - 1)) {
-    ::close(fd);
-    return "";
-  }
-  std::string response;
-  char chunk[8192];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t pos = response.find("\r\n\r\n");
-  return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
 int Main() {
@@ -101,8 +65,9 @@ int Main() {
       if (!armed.load(std::memory_order_acquire)) {
         continue;
       }
-      const std::string body = ScrapeMetrics(port);
-      if (body.find("psp_up 1") != std::string::npos) {
+      const AdminResponse scrape =
+          AdminRequest(AdminEndpoint{"127.0.0.1", port, ""}, "GET", "/metrics");
+      if (scrape.ok() && scrape.body.find("psp_up 1") != std::string::npos) {
         scrapes.fetch_add(1, std::memory_order_relaxed);
       } else {
         bad_scrapes.fetch_add(1, std::memory_order_relaxed);

@@ -22,7 +22,9 @@
 #   fleet             - fleet determinism smoke: run the multi-server sim
 #                       (examples/fleet_demo) twice with the same seed and
 #                       require byte-identical fleet.json artifacts, then a
-#                       different seed and require divergence.
+#                       different seed and require divergence; the fleet
+#                       metrics.prom must pass pspctl checkfile and carry
+#                       every family of server0's own page.
 #   ingress           - socket-ingress smoke: a real two-process exchange over
 #                       loopback — examples/udp_server on an ephemeral port
 #                       driven by the external tools/psp_loadgen; responses
@@ -141,10 +143,12 @@ run_thread() {
 # for a seed. Two same-seed runs are compared byte-for-byte on fleet.json;
 # a third run with another seed must diverge (guards against the artifact
 # not actually depending on the run).
+# The run's metrics.prom must pass `pspctl checkfile` and carry every
+# `# TYPE` family of server0/metrics.prom other than psp_up.
 run_fleet() {
   local build=${1:-build}
   cmake -B "$build" -S . >/dev/null
-  cmake --build "$build" -j "$(nproc)" --target fleet_demo
+  cmake --build "$build" -j "$(nproc)" --target fleet_demo pspctl
   local work="$build/fleet_smoke"
   rm -rf "$work"
   mkdir -p "$work"
@@ -166,7 +170,20 @@ run_fleet() {
     return 1
   fi
   python3 -m json.tool "$work/a/fleet.json" >/dev/null
-  echo "fleet smoke OK (same-seed byte-identical, seeds diverge)"
+  # The fleet page is its servers' pages: it must validate, and every family
+  # a server's own page declares (but psp_up) must appear on it.
+  "$build/tools/pspctl" checkfile "$work/a/metrics.prom"
+  local missing
+  missing=$(grep '^# TYPE ' "$work/a/server0/metrics.prom" |
+    grep -v '^# TYPE psp_up ' | grep -vxFf "$work/a/metrics.prom" || true)
+  if [ -n "$missing" ]; then
+    echo "fleet smoke FAILED: families of server0/metrics.prom missing" \
+         "from the fleet page:" >&2
+    echo "$missing" >&2
+    return 1
+  fi
+  echo "fleet smoke OK (same-seed byte-identical, seeds diverge," \
+       "fleet page valid and covers server0's families)"
 }
 
 # Socket-ingress smoke: the kernel-UDP frontend as an operator would run it —

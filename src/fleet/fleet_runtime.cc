@@ -273,7 +273,7 @@ FleetSnapshot FleetRuntime::fleet_snapshot() const {
   snap.servers.reserve(servers_.size());
   for (uint32_t i = 0; i < servers_.size(); ++i) {
     snap.servers.push_back(servers_[i]->telemetry_snapshot());
-    snap.servers.back().histograms["fleet.client_latency"] =
+    snap.servers.back().histograms["client.latency"] =
         server_latency[i];
   }
   return snap;

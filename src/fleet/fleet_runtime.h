@@ -18,7 +18,8 @@
 //
 // Observability: when config.admin.enabled, a fleet-level AdminServer serves
 // GET /fleet.json (FleetSnapshot::ToJson), /metrics with server="N" labels
-// (FleetSnapshot::ToPrometheus), and /snapshot.json as the merged rollup.
+// and psp_fleet_* roll-ups (FleetSnapshot::ToPrometheus), and /snapshot.json
+// as the merged rollup.
 // Per-server admin planes are forced off — the fleet endpoint is the one
 // scrape surface.
 #ifndef PSP_SRC_FLEET_FLEET_RUNTIME_H_
@@ -162,8 +163,9 @@ class FleetRuntime {
   std::map<TypeId, Histogram> latency_;
   Histogram overall_latency_;
   // Client-observed latency split by serving server; surfaces in the fleet
-  // snapshot as each server's "fleet.client_latency" histogram so the
-  // Prometheus page gets per-server summaries plus the merged rollup.
+  // snapshot as each server's "client.latency" histogram, so the Prometheus
+  // page gets psp_client_latency{server="N"} plus the psp_fleet_client_latency
+  // roll-up.
   std::vector<Histogram> server_latency_;
 
   std::unique_ptr<AdminServer> admin_;

@@ -41,9 +41,7 @@ FleetSimulation::FleetSimulation(WorkloadSpec workload, FleetSimConfig config,
       policy_rng_(Rng::StreamSeed(config.seed, 1)),
       outstanding_(config.num_servers, 0),
       depth_view_(config.num_servers, 0),
-      dispatched_per_server_(config.num_servers, 0),
-      metrics_(static_cast<Nanos>(config.warmup_fraction *
-                                  static_cast<double>(config.duration))) {
+      dispatched_per_server_(config.num_servers, 0) {
   assert(config_.Validate().empty());
   assert(!workload_.phases.empty());
   // Steady-state pending events: the arrival chain, each server's worker
@@ -51,6 +49,8 @@ FleetSimulation::FleetSimulation(WorkloadSpec workload, FleetSimConfig config,
   sim_.Reserve(static_cast<size_t>(config_.num_servers) *
                    (config_.server.num_workers + 64) +
                64);
+  // The fleet's types first, so metrics()'s type_ids() order is the
+  // workload's whatever the servers saw.
   for (const auto& t : workload_.AllTypes()) {
     metrics_.RegisterType(t.wire_id, t.name);
   }
@@ -68,15 +68,8 @@ FleetSimulation::FleetSimulation(WorkloadSpec workload, FleetSimConfig config,
         workload_, server_config, factory(i), &sim_));
     ClusterEngine* const engine = servers_.back().get();
     engine->set_completion_hook(
-        [this, i](const SimRequest& request, Nanos receive) {
-          metrics_.RecordCompletion(request.wire_type, request.send_time,
-                                    receive, request.service);
-          --outstanding_[i];
-        });
-    engine->set_drop_hook([this, i](const SimRequest& request) {
-      metrics_.RecordDrop(request.wire_type);
-      --outstanding_[i];
-    });
+        [this, i](const SimRequest&, Nanos) { --outstanding_[i]; });
+    engine->set_drop_hook([this, i](const SimRequest&) { --outstanding_[i]; });
   }
 }
 
@@ -177,6 +170,7 @@ void FleetSimulation::Run() {
   sim_.RunToCompletion();
   for (auto& server : servers_) {
     server->FinishExternalRun();
+    metrics_.Merge(server->metrics());
   }
   if (!config_.introspect_dir.empty()) {
     const FleetSnapshot snap = fleet_snapshot();

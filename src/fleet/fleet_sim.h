@@ -20,6 +20,8 @@
 //
 // Depth tracking: the fleet tier counts outstanding requests per server
 // (dispatched − completed − dropped) via the engines' completion/drop hooks.
+// That is all the hooks do: the servers record every completion, and the
+// fleet's metrics() is the fold of theirs.
 // Policies read a copy of that table refreshed on a depth_staleness grid
 // (0 = copy live at every decision, the po2c probing model; > 0 = the copy
 // is renewed at most once per grid period, RackSched's bounded-staleness
@@ -79,9 +81,9 @@ class FleetSimulation {
   void Run();
 
   // --- Results --------------------------------------------------------------
-  // Fleet-wide client-observed metrics (all servers combined), warmed up on
-  // the fleet window.
-  Metrics& metrics() { return metrics_; }
+  // Fleet-wide client-observed metrics: the Metrics::Merge fold of every
+  // server's own Metrics (deadline misses and sheds included), taken when
+  // Run() finishes. Empty before that.
   const Metrics& metrics() const { return metrics_; }
   uint32_t num_servers() const { return config_.num_servers; }
   ClusterEngine& server(uint32_t i) { return *servers_[i]; }
@@ -141,7 +143,7 @@ class FleetSimulation {
   uint64_t depth_refreshes_ = 0;
 
   std::vector<uint64_t> dispatched_per_server_;
-  Metrics metrics_;  // fleet-wide, client-observed
+  Metrics metrics_;  // fold of the servers' Metrics, filled by Run()
 };
 
 }  // namespace psp

@@ -6,10 +6,20 @@
 // Exporters:
 //   * ToJson()       — the /fleet.json admin payload: per-server snapshots
 //                      under "servers" and the merged rollup under "merged".
-//   * ToPrometheus() — exposition-format page where every per-server sample
-//                      carries a server="N" label, so one scrape of the fleet
-//                      admin port yields the whole rack with the standard
-//                      aggregation story (sum by (le/type), max by (server)).
+//   * ToPrometheus() — FederateMetrics (src/introspect/prometheus.h) over each
+//                      server's own RenderPrometheusText page, plus the fleet
+//                      tier rendered by the same renderer. One rule names
+//                      every family:
+//        server instrument x.y   the single-node family, server="i" added
+//        counter roll-up         psp_fleet_x_y_total, summed over servers
+//        summary roll-up         psp_fleet_x_y{quantile=...}, _sum, _count
+//                                from Merged()
+//        dispatcher fleet.z      psp_fleet_z; fleet.server.N.z folds to
+//                                psp_fleet_server_z{server="N"}
+//        page level              psp_fleet_servers, psp_fleet_policy, psp_up
+//                      `pspctl federate` builds the same page across processes,
+//                      minus the summary roll-ups, the dispatcher tier and
+//                      psp_fleet_policy.
 #ifndef PSP_SRC_FLEET_FLEET_SNAPSHOT_H_
 #define PSP_SRC_FLEET_FLEET_SNAPSHOT_H_
 
@@ -45,9 +55,7 @@ struct FleetSnapshot {
   // deterministic fleet run (backs the CI same-seed determinism smoke).
   std::string ToJson() const;
 
-  // Prometheus text exposition 0.0.4. Fleet-level scalars (psp_fleet_servers,
-  // dispatcher counters) are unlabelled; per-server counters/gauges/histogram
-  // summaries carry server="N".
+  // Prometheus text exposition 0.0.4, named as in the table above.
   std::string ToPrometheus() const;
 };
 

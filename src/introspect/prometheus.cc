@@ -1,11 +1,16 @@
 #include "src/introspect/prometheus.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <iterator>
 #include <map>
+#include <set>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -34,6 +39,86 @@ bool SplitIndexedMetric(const std::string& name, const char* prefix,
   *index = name.substr(prefix_len, dot - prefix_len);
   *field = name.substr(dot + 1);
   return true;
+}
+
+// Length of the metric-name prefix of `line` ([a-zA-Z0-9_:]*).
+size_t ScanName(const std::string& line) {
+  size_t i = 0;
+  while (i < line.size() &&
+         (std::isalnum(static_cast<unsigned char>(line[i])) ||
+          line[i] == '_' || line[i] == ':')) {
+    ++i;
+  }
+  return i;
+}
+
+// Index of the '}' closing the label block opened at `open`, skipping quoted
+// label values (with backslash escapes); npos when unterminated.
+size_t ScanLabels(const std::string& line, size_t open) {
+  bool in_quotes = false;
+  bool escaped = false;
+  for (size_t i = open + 1; i < line.size(); ++i) {
+    const char c = line[i];
+    if (escaped) {
+      escaped = false;
+    } else if (in_quotes && c == '\\') {
+      escaped = true;
+    } else if (c == '"') {
+      in_quotes = !in_quotes;
+    } else if (!in_quotes && c == '}') {
+      return i;
+    }
+  }
+  return std::string::npos;
+}
+
+// One exposition sample: name, the raw label block (without braces,
+// possibly empty) and the value text.
+struct Sample {
+  std::string name;
+  std::string labels;
+  std::string value;
+};
+
+// Splits a sample line `name[{labels}] value`; nullptr on success, else what
+// is wrong with it.
+const char* ParseSample(const std::string& line, Sample* out) {
+  size_t i = ScanName(line);
+  if (i == 0 || std::isdigit(static_cast<unsigned char>(line[0]))) {
+    return "bad metric name";
+  }
+  out->name = line.substr(0, i);
+  out->labels.clear();
+  if (i < line.size() && line[i] == '{') {
+    const size_t close = ScanLabels(line, i);
+    if (close == std::string::npos) {
+      return "unterminated labels";
+    }
+    out->labels = line.substr(i + 1, close - i - 1);
+    i = close + 1;
+  }
+  if (i >= line.size() || line[i] != ' ') {
+    return "missing value separator";
+  }
+  out->value = line.substr(i + 1);
+  return nullptr;
+}
+
+bool ParseNumber(const std::string& text, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0';
+}
+
+bool IsHelpOrType(const std::string& line) {
+  return line.compare(0, 7, "# HELP ") == 0 ||
+         line.compare(0, 7, "# TYPE ") == 0;
+}
+
+// The family a `# HELP name ...` / `# TYPE name ...` line declares.
+std::string CommentName(const std::string& line) {
+  const size_t end = line.find(' ', 7);
+  return line.substr(7, end == std::string::npos ? end : end - 7);
 }
 
 void AppendDouble(std::string* out, double v) {
@@ -94,24 +179,40 @@ std::string ResolveTypeName(const TelemetrySnapshot& snap, uint32_t type) {
                                      : "type-" + std::to_string(type);
 }
 
-// Renders a family of scalar instruments, folding worker.<N>.<field> names
-// into one labelled metric per field. `suffix` is "_total" for counters.
+// Indexed instrument names that fold into one labelled family per field:
+// "<prefix><N>.<field>" -> <family><field>{<label>="N"}.
+struct IndexedFamily {
+  const char* prefix;
+  const char* family;
+  const char* label;
+  const char* help;
+};
+constexpr IndexedFamily kIndexedFamilies[] = {
+    {"worker.", "psp_worker_", "worker", "per worker"},
+    {"ingress.shard.", "psp_ingress_shard_", "shard", "per socket shard"},
+    {"fleet.server.", "psp_fleet_server_", "server", "per server"},
+};
+
+// Renders a family of scalar instruments, folding indexed names (see
+// kIndexedFamilies) into one labelled metric per field. `suffix` is "_total"
+// for counters.
 template <typename Map>
 void RenderScalars(std::string* out, const Map& values, const char* prom_type,
                    const char* suffix, const char* source_kind) {
-  // field -> [(index, value)]; plain names render directly in map order.
+  constexpr size_t kKinds = std::size(kIndexedFamilies);
+  // Per indexed kind: field -> [(index, value)]. Plain names render directly
+  // in map order.
   std::map<std::string, std::vector<std::pair<std::string, std::string>>>
-      per_worker;
-  std::map<std::string, std::vector<std::pair<std::string, std::string>>>
-      per_shard;
+      indexed[kKinds];
   for (const auto& [name, value] : values) {
     std::string index, field;
-    if (SplitIndexedMetric(name, "worker.", &index, &field)) {
-      per_worker[field].emplace_back(index, std::to_string(value));
-      continue;
+    size_t k = 0;
+    while (k < kKinds && !SplitIndexedMetric(name, kIndexedFamilies[k].prefix,
+                                             &index, &field)) {
+      ++k;
     }
-    if (SplitIndexedMetric(name, "ingress.shard.", &index, &field)) {
-      per_shard[field].emplace_back(index, std::to_string(value));
+    if (k < kKinds) {
+      indexed[k][field].emplace_back(index, std::to_string(value));
       continue;
     }
     const std::string metric = "psp_" + PrometheusMetricName(name) + suffix;
@@ -119,24 +220,17 @@ void RenderScalars(std::string* out, const Map& values, const char* prom_type,
                      std::string(source_kind) + " \"" + name + "\"");
     AppendSample(out, metric, nullptr, "", std::to_string(value));
   }
-  for (const auto& [field, samples] : per_worker) {
-    const std::string metric =
-        "psp_worker_" + PrometheusMetricName(field) + suffix;
-    AppendTypeHeader(out, metric, prom_type,
-                     std::string(source_kind) + " \"worker.<N>." + field +
-                         "\" per worker");
-    for (const auto& [worker, value] : samples) {
-      AppendSample(out, metric, "worker", worker, value);
-    }
-  }
-  for (const auto& [field, samples] : per_shard) {
-    const std::string metric =
-        "psp_ingress_shard_" + PrometheusMetricName(field) + suffix;
-    AppendTypeHeader(out, metric, prom_type,
-                     std::string(source_kind) + " \"ingress.shard.<N>." +
-                         field + "\" per socket shard");
-    for (const auto& [shard, value] : samples) {
-      AppendSample(out, metric, "shard", shard, value);
+  for (size_t k = 0; k < kKinds; ++k) {
+    const IndexedFamily& kind = kIndexedFamilies[k];
+    for (const auto& [field, samples] : indexed[k]) {
+      const std::string metric =
+          kind.family + PrometheusMetricName(field) + suffix;
+      AppendTypeHeader(out, metric, prom_type,
+                       std::string(source_kind) + " \"" + kind.prefix +
+                           "<N>." + field + "\" " + kind.help);
+      for (const auto& [index, value] : samples) {
+        AppendSample(out, metric, kind.label, index, value);
+      }
     }
   }
 }
@@ -465,6 +559,221 @@ std::string RenderPrometheusText(const TelemetrySnapshot& snapshot) {
   // and scrapers can assert liveness.
   AppendTypeHeader(&out, "psp_up", "gauge", "introspection plane liveness");
   AppendSample(&out, "psp_up", nullptr, "", "1");
+  return out;
+}
+
+std::string RenderInfoGauge(const std::string& metric, const std::string& help,
+                            const char* label, const std::string& value) {
+  std::string out;
+  AppendTypeHeader(&out, metric, "gauge", help);
+  AppendSample(&out, metric, label, value, "1");
+  return out;
+}
+
+std::string CheckExposition(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  int line_no = 0;
+  bool any_sample = false;
+  std::map<std::string, std::string> kinds;  // family -> its # TYPE kind
+  std::set<std::string> closed;              // families whose lines ended
+  std::string current;
+  while (std::getline(in, line)) {
+    const std::string where = "line " + std::to_string(++line_no) + ": ";
+    if (line.empty()) {
+      continue;
+    }
+    std::string family;
+    if (line[0] == '#') {
+      if (!IsHelpOrType(line)) {
+        return where + "comment is neither HELP nor TYPE";
+      }
+      family = CommentName(line);
+      if (line.compare(2, 4, "TYPE") == 0) {
+        // "# TYPE <family> <kind>"
+        const std::string kind =
+            line.substr(std::min(line.size(), 8 + family.size()));
+        if (!kinds.emplace(family, kind).second) {
+          return where + "second # TYPE for " + family;
+        }
+      }
+    } else {
+      Sample sample;
+      if (const char* problem = ParseSample(line, &sample)) {
+        return where + problem;
+      }
+      double value;
+      if (!ParseNumber(sample.value, &value)) {
+        return where + "bad sample value \"" + sample.value + "\"";
+      }
+      any_sample = true;
+      family = sample.name;
+      // A summary's _sum/_count samples belong to its family.
+      const size_t cut = family.rfind('_');
+      if (cut != std::string::npos) {
+        const std::string suffix = family.substr(cut);
+        const auto it = kinds.find(family.substr(0, cut));
+        if ((suffix == "_sum" || suffix == "_count") && it != kinds.end() &&
+            it->second == "summary") {
+          family = it->first;
+        }
+      }
+    }
+    if (family != current) {
+      if (closed.count(family) != 0) {
+        return where + "lines of " + family + " are not contiguous";
+      }
+      closed.insert(current);
+      current = family;
+    }
+  }
+  if (!any_sample) {
+    return "no samples in exposition";
+  }
+  return "";
+}
+
+std::string FederateMetrics(const std::vector<std::string>& pages,
+                            const std::string& fleet_tier) {
+  struct Family {
+    std::string help;
+    std::string type;
+    // Per-server sample lines, already server-labelled.
+    std::vector<std::string> lines;
+    // Aggregation: labels -> summed value (counters only).
+    std::vector<std::pair<std::string, double>> sums;
+    bool integral = true;
+  };
+  std::vector<std::string> order;  // first-seen family order
+  std::vector<Family> families;
+  const auto family_of = [&](const std::string& name) -> Family& {
+    for (size_t i = 0; i < order.size(); ++i) {
+      if (order[i] == name) {
+        return families[i];
+      }
+    }
+    order.push_back(name);
+    families.emplace_back();
+    return families.back();
+  };
+
+  for (size_t server = 0; server < pages.size(); ++server) {
+    std::istringstream in(pages[server]);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty()) {
+        continue;
+      }
+      if (line[0] == '#') {
+        if (!IsHelpOrType(line) || line.find(' ', 7) == std::string::npos) {
+          continue;
+        }
+        Family& fam = family_of(CommentName(line));
+        std::string& slot =
+            line.compare(2, 4, "HELP") == 0 ? fam.help : fam.type;
+        if (slot.empty()) {
+          slot = line.substr(line.find(' ', 7) + 1);
+        }
+        continue;
+      }
+      Sample sample;
+      if (ParseSample(line, &sample) != nullptr) {
+        continue;
+      }
+      if (sample.name == "psp_up") {
+        continue;  // re-emitted once, terminal, for the merged page
+      }
+      Family& fam = family_of(sample.name);
+      std::string labelled = "server=\"" + std::to_string(server) + "\"";
+      if (!sample.labels.empty()) {
+        labelled += "," + sample.labels;
+      }
+      fam.lines.push_back(sample.name + "{" + labelled + "} " + sample.value);
+      double v;
+      if (ParseNumber(sample.value, &v)) {
+        bool found = false;
+        for (auto& [labels, sum] : fam.sums) {
+          if (labels == sample.labels) {
+            sum += v;
+            found = true;
+            break;
+          }
+        }
+        if (!found) {
+          fam.sums.emplace_back(sample.labels, v);
+        }
+        if (v != static_cast<double>(static_cast<long long>(v))) {
+          fam.integral = false;
+        }
+      }
+    }
+  }
+
+  std::string out;
+  const auto append_value = [&](double v, bool integral) {
+    char buf[64];
+    if (integral && v < 9e15 && v > -9e15) {
+      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.9g", v);
+    }
+    out += buf;
+  };
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Family& fam = families[i];
+    // A summary keeps its header even when all its samples are _sum/_count
+    // (collected under those names, right after it in first-seen order).
+    if (fam.lines.empty() && fam.type != "summary") {
+      continue;
+    }
+    if (!fam.help.empty()) {
+      out += "# HELP " + order[i] + " " + fam.help + "\n";
+    }
+    if (!fam.type.empty()) {
+      out += "# TYPE " + order[i] + " " + fam.type + "\n";
+    }
+    for (const std::string& line : fam.lines) {
+      out += line + "\n";
+    }
+  }
+  // Fleet roll-up: counters are meaningfully summable across servers.
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Family& fam = families[i];
+    if (fam.type != "counter" || fam.sums.empty()) {
+      continue;
+    }
+    const std::string fleet_name =
+        order[i].compare(0, 4, "psp_") == 0
+            ? "psp_fleet_" + order[i].substr(4)
+            : "psp_fleet_" + order[i];
+    out += "# HELP " + fleet_name + " Sum of " + order[i] +
+           " across federated servers.\n";
+    out += "# TYPE " + fleet_name + " counter\n";
+    for (const auto& [labels, sum] : fam.sums) {
+      out += fleet_name;
+      if (!labels.empty()) {
+        out += "{" + labels + "}";
+      }
+      out += " ";
+      append_value(sum, fam.integral);
+      out += "\n";
+    }
+  }
+  // The fleet tier's own families, verbatim but for its psp_up.
+  std::istringstream tier(fleet_tier);
+  std::string line;
+  while (std::getline(tier, line)) {
+    const std::string name = line.empty() || line[0] != '#'
+                                 ? line.substr(0, ScanName(line))
+                                 : CommentName(line);
+    if (!line.empty() && name != "psp_up") {
+      out += line + "\n";
+    }
+  }
+  out += "# HELP psp_fleet_servers Endpoints merged into this page.\n";
+  out += "# TYPE psp_fleet_servers gauge\n";
+  out += "psp_fleet_servers " + std::to_string(pages.size()) + "\n";
+  out += "psp_up 1\n";
   return out;
 }
 

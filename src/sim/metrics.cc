@@ -90,6 +90,30 @@ void Metrics::RecordDeadlineShed(TypeId wire_id, Nanos send_time) {
   ++deadline_shed_;
 }
 
+void Metrics::Merge(const Metrics& other) {
+  for (size_t i = 0; i < other.types_.size(); ++i) {
+    const PerType& from = other.types_[i];
+    const size_t j = IndexOf(other.type_ids_[i]);
+    if (j == types_.size()) {
+      RegisterType(other.type_ids_[i], from.name);
+    }
+    PerType& to = types_[j];
+    to.latency.Merge(from.latency);
+    to.slowdown.Merge(from.slowdown);
+    to.drops += from.drops;
+    to.deadline_total += from.deadline_total;
+    to.deadline_missed += from.deadline_missed;
+    to.deadline_shed += from.deadline_shed;
+  }
+  overall_slowdown_.Merge(other.overall_slowdown_);
+  overall_latency_.Merge(other.overall_latency_);
+  total_completions_ += other.total_completions_;
+  total_drops_ += other.total_drops_;
+  deadline_total_ += other.deadline_total_;
+  deadline_missed_ += other.deadline_missed_;
+  deadline_shed_ += other.deadline_shed_;
+}
+
 double Metrics::OverallSlowdown(double pct) const {
   return static_cast<double>(overall_slowdown_.Percentile(pct)) /
          kSlowdownScale;

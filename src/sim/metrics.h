@@ -42,6 +42,13 @@ class Metrics {
   // A deadlined request shed before service (admission control / queue full).
   void RecordDeadlineShed(TypeId wire_id, Nanos send_time);
 
+  // Folds `other` in: counts add and histograms merge (Histogram::Merge), so
+  // the fold of several engines' Metrics is exactly the Metrics that would
+  // have recorded all their samples. Types new to this object are appended
+  // in `other`'s order. `other`'s samples are already warmup-filtered;
+  // time-series buckets are not folded.
+  void Merge(const Metrics& other);
+
   // --- Aggregate views ------------------------------------------------------
   // All percentile arguments in [0,100], e.g. 99.9.
   double OverallSlowdown(double pct) const;

@@ -3,71 +3,25 @@
 // spread, and the fleet admin plane scraped over a real loopback socket.
 #include "src/fleet/fleet_runtime.h"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "src/apps/synthetic.h"
+#include "src/introspect/admin_client.h"
+#include "src/introspect/prometheus.h"
 
 namespace psp {
 namespace {
 
-// Minimal HTTP client against 127.0.0.1:`port`; returns the status line +
-// full response, or "" on transport failure.
-std::string HttpRequest(uint16_t port, const std::string& method,
-                        const std::string& path,
-                        const std::string& body = "") {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return "";
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string req = method + " " + path +
-                          " HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                          std::to_string(body.size()) + "\r\n\r\n" + body;
-  size_t sent = 0;
-  while (sent < req.size()) {
-    const ssize_t n = ::write(fd, req.data() + sent, req.size() - sent);
-    if (n <= 0) {
-      ::close(fd);
-      return "";
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string Body(const std::string& response) {
-  const size_t pos = response.find("\r\n\r\n");
-  return pos == std::string::npos ? "" : response.substr(pos + 4);
-}
-
-int Status(const std::string& response) {
-  if (response.compare(0, 5, "HTTP/") != 0) {
-    return -1;
-  }
-  return std::atoi(response.c_str() + response.find(' ') + 1);
+// One request to the loopback admin port through the shared client.
+AdminResponse HttpRequest(uint16_t port, const std::string& method,
+                          const std::string& path,
+                          const std::string& body = "") {
+  return AdminRequest(AdminEndpoint{"127.0.0.1", port, ""}, method, path,
+                      body);
 }
 
 FleetRuntimeConfig SmallFleetRuntime(FleetPolicyKind kind,
@@ -152,27 +106,38 @@ TEST(FleetRuntime, FleetAdminPlaneServesAggregation) {
   ASSERT_GT(fleet.admin_port(), 0);
   SubmitAndDrain(fleet, 200, FromMicros(1));
 
-  const std::string fleet_json =
+  const AdminResponse fleet_json =
       HttpRequest(fleet.admin_port(), "GET", "/fleet.json");
-  EXPECT_EQ(Status(fleet_json), 200);
-  EXPECT_NE(fleet_json.find("application/json"), std::string::npos);
-  EXPECT_NE(Body(fleet_json).find("\"policy\":\"po2c\""), std::string::npos);
-  EXPECT_NE(Body(fleet_json).find("\"num_servers\":2"), std::string::npos);
-  EXPECT_NE(Body(fleet_json).find("\"servers\":["), std::string::npos);
+  EXPECT_EQ(fleet_json.status, 200);
+  EXPECT_NE(fleet_json.headers.find("application/json"), std::string::npos);
+  EXPECT_NE(fleet_json.body.find("\"policy\":\"po2c\""), std::string::npos);
+  EXPECT_NE(fleet_json.body.find("\"num_servers\":2"), std::string::npos);
+  EXPECT_NE(fleet_json.body.find("\"servers\":["), std::string::npos);
 
-  const std::string metrics =
+  const AdminResponse metrics =
       HttpRequest(fleet.admin_port(), "GET", "/metrics");
-  EXPECT_EQ(Status(metrics), 200);
-  EXPECT_NE(Body(metrics).find("psp_fleet_servers 2"), std::string::npos);
-  EXPECT_NE(Body(metrics).find("server=\"0\""), std::string::npos);
-  EXPECT_NE(Body(metrics).find("server=\"1\""), std::string::npos);
-  EXPECT_NE(Body(metrics).find("server=\"merged\""), std::string::npos);
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("psp_fleet_servers 2"), std::string::npos);
+  EXPECT_NE(metrics.body.find("server=\"0\""), std::string::npos);
+  EXPECT_NE(metrics.body.find("server=\"1\""), std::string::npos);
+  EXPECT_EQ(CheckExposition(metrics.body), "");
+  EXPECT_EQ(metrics.body.find("psp_fleet_fleet_"), std::string::npos);
+  // The summary roll-up is the merged histogram, value for value.
+  const std::string rollup =
+      "\npsp_fleet_client_latency{quantile=\"0.999\"} ";
+  const size_t at = metrics.body.find(rollup);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(std::stoll(metrics.body.substr(at + rollup.size())),
+            fleet.fleet_snapshot()
+                .Merged()
+                .histograms.at("client.latency")
+                .Percentile(99.9));
 
   // /snapshot.json serves the merged rollup (counters summed across servers).
-  const std::string snapshot =
+  const AdminResponse snapshot =
       HttpRequest(fleet.admin_port(), "GET", "/snapshot.json");
-  EXPECT_EQ(Status(snapshot), 200);
-  EXPECT_NE(Body(snapshot).find("\"counters\""), std::string::npos);
+  EXPECT_EQ(snapshot.status, 200);
+  EXPECT_NE(snapshot.body.find("\"counters\""), std::string::npos);
   fleet.Stop();
 }
 
@@ -184,7 +149,7 @@ TEST(FleetRuntime, SingleNodeAdminHasNoFleetEndpoint) {
   hooks.snapshot = [] { return TelemetrySnapshot{}; };
   AdminServer server(config, std::move(hooks));
   ASSERT_EQ(server.Start(), "");
-  EXPECT_EQ(Status(HttpRequest(server.port(), "GET", "/fleet.json")), 404);
+  EXPECT_EQ(HttpRequest(server.port(), "GET", "/fleet.json").status, 404);
   server.Stop();
 }
 

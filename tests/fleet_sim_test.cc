@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
+#include "src/introspect/prometheus.h"
 #include "src/sim/policies/c_fcfs.h"
+#include "src/sim/policies/persephone.h"
 
 namespace psp {
 namespace {
@@ -73,6 +77,60 @@ TEST(FleetSim, ConservesRequestsAcrossServers) {
   const TelemetrySnapshot merged = fs.Merged();
   EXPECT_EQ(merged.counter("engine.completed"), completed);
   EXPECT_EQ(merged.counter("engine.dropped"), dropped);
+}
+
+// The fleet's books are its servers' books: metrics() is the fold of the
+// servers' own Metrics, so the deadline misses and sheds EDF servers record
+// reach the fleet view (a second, deadline-blind recorder reported 0).
+TEST(FleetSim, MetricsFoldServersDeadlineBooks) {
+  const WorkloadSpec workload = HighBimodal();
+  DeadlineConfig budgets;  // fig_deadline's rule: max(20 us, 1.4 x mean)
+  for (const auto& t : workload.AllTypes()) {
+    DeadlineTarget target;
+    target.type_name = t.name;
+    target.budget = FromMicros(std::max(20.0, 1.4 * t.mean_us));
+    budgets.targets.push_back(target);
+  }
+  budgets.shed = true;
+  FleetSimulation fleet(
+      workload, SmallFleet(2, FleetPolicyKind::kPowerOfTwo, 0.95),
+      [budgets](uint32_t) {
+        PersephoneOptions options;
+        options.scheduler.mode = PolicyMode::kEdf;
+        options.scheduler.deadline = budgets;
+        return std::make_unique<PersephonePolicy>(options);
+      });
+  fleet.Run();
+
+  const Metrics& m = fleet.metrics();
+  std::vector<TypeId> workload_order;
+  for (const auto& t : workload.AllTypes()) {
+    workload_order.push_back(t.wire_id);
+  }
+  EXPECT_EQ(m.type_ids(), workload_order);
+  uint64_t count = 0, drops = 0, misses = 0, sheds = 0;
+  for (uint32_t i = 0; i < fleet.num_servers(); ++i) {
+    const Metrics& s = fleet.server(i).metrics();
+    count += s.TotalCount();
+    drops += s.TotalDrops();
+    misses += s.TotalDeadlineMisses();
+    sheds += s.TotalDeadlineSheds();
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(sheds, 0u);
+  EXPECT_EQ(m.TotalCount(), count);
+  EXPECT_EQ(m.TotalDrops(), drops);
+  EXPECT_EQ(m.TotalDeadlineMisses(), misses);
+  EXPECT_EQ(m.TotalDeadlineSheds(), sheds);
+  for (const TypeId t : m.type_ids()) {
+    uint64_t type_misses = 0;
+    for (uint32_t i = 0; i < fleet.num_servers(); ++i) {
+      type_misses += fleet.server(i).metrics().TypeDeadlineMisses(t);
+    }
+    EXPECT_EQ(m.TypeDeadlineMisses(t), type_misses);
+  }
+  EXPECT_LT(m.GoodputRps(fleet.MeasuredWindow()),
+            m.ThroughputRps(fleet.MeasuredWindow()));
 }
 
 TEST(FleetSim, SameSeedRunsAreByteIdentical) {
@@ -180,7 +238,19 @@ TEST(FleetSim, WritesFleetIntrospectionArtifacts) {
   EXPECT_NE(prom.find("psp_fleet_servers 2"), std::string::npos);
   EXPECT_NE(prom.find("server=\"0\""), std::string::npos);
   EXPECT_NE(prom.find("server=\"1\""), std::string::npos);
-  EXPECT_NE(prom.find("server=\"merged\""), std::string::npos);
+  EXPECT_EQ(CheckExposition(prom), "");
+  EXPECT_EQ(prom.find("psp_fleet_fleet_"), std::string::npos);
+  // The summary roll-up is the merged histogram, value for value — and the
+  // same distribution the fleet's folded metrics() reports.
+  const std::string rollup = "\npsp_fleet_engine_latency{quantile=\"0.999\"} ";
+  const size_t at = prom.find(rollup);
+  ASSERT_NE(at, std::string::npos);
+  const int64_t p999 = fleet.fleet_snapshot()
+                           .Merged()
+                           .histograms.at("engine.latency")
+                           .Percentile(99.9);
+  EXPECT_EQ(std::stoll(prom.substr(at + rollup.size())), p999);
+  EXPECT_EQ(fleet.metrics().OverallLatency(99.9), p999);
 
   // Per-server artifacts render alongside (same files the admin plane
   // serves for a single node).

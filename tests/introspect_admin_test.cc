@@ -4,17 +4,16 @@
 // adjusts sampling live, and the outlier ring serves its JSON.
 #include "src/introspect/admin.h"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <string>
+#include <thread>
 
 #include "src/apps/synthetic.h"
+#include "src/introspect/admin_client.h"
 #include "src/introspect/prometheus.h"
 #include "src/runtime/loadgen.h"
 #include "src/runtime/persephone.h"
@@ -22,55 +21,74 @@
 namespace psp {
 namespace {
 
-// Minimal HTTP client against 127.0.0.1:`port`; returns the status line +
-// full response, or "" on transport failure.
-std::string HttpRequest(uint16_t port, const std::string& method,
-                        const std::string& path,
-                        const std::string& body = "") {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return "";
-  }
+// One request to the loopback admin port through the shared client.
+AdminResponse HttpRequest(uint16_t port, const std::string& method,
+                          const std::string& path,
+                          const std::string& body = "") {
+  return AdminRequest(AdminEndpoint{"127.0.0.1", port, ""}, method, path,
+                      body);
+}
+
+// A one-shot loopback peer: accepts one connection, reads the request head,
+// answers `reply` verbatim and closes. Returns its port (0 on failure).
+uint16_t ServeOnce(const std::string& reply, std::thread* thread) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return "";
+  socklen_t len = sizeof(addr);
+  if (listener < 0 ||
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+      ::listen(listener, 1) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    return 0;
   }
-  const std::string req = method + " " + path +
-                          " HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                          std::to_string(body.size()) + "\r\n\r\n" + body;
-  size_t sent = 0;
-  while (sent < req.size()) {
-    const ssize_t n = ::write(fd, req.data() + sent, req.size() - sent);
-    if (n <= 0) {
-      ::close(fd);
-      return "";
+  *thread = std::thread([listener, reply] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    std::string request;
+    char chunk[512];
+    ssize_t n;
+    while (request.find("\r\n\r\n") == std::string::npos &&
+           (n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+      request.append(chunk, static_cast<size_t>(n));
     }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
+    EXPECT_EQ(::write(fd, reply.data(), reply.size()),
+              static_cast<ssize_t>(reply.size()));
+    ::close(fd);
+    ::close(listener);
+  });
+  return ntohs(addr.sin_port);
 }
 
-std::string Body(const std::string& response) {
-  const size_t pos = response.find("\r\n\r\n");
-  return pos == std::string::npos ? "" : response.substr(pos + 4);
+// The status line must be `HTTP/<d>.<d> <3 digits> `: a reply without one,
+// or with a non-numeric code, is malformed — never a misread status.
+TEST(AdminClient, RejectsMalformedStatusLine) {
+  for (const std::string reply :
+       {"HTTP/1.1\r\nX: y\r\n\r\nbody", "HTTP/1.1 5xx Oops\r\n\r\nbody",
+        "HTTP/1.1 20 OK\r\n\r\n", "ok\r\n\r\n", "HTTP/1.1 200 OK\r\n"}) {
+    std::thread peer;
+    const uint16_t port = ServeOnce(reply, &peer);
+    ASSERT_GT(port, 0);
+    const AdminResponse response = HttpRequest(port, "GET", "/healthz");
+    peer.join();
+    EXPECT_EQ(response.error, "malformed HTTP response") << reply;
+    EXPECT_EQ(response.status, 0) << reply;
+  }
 }
 
-int Status(const std::string& response) {
-  if (response.compare(0, 5, "HTTP/") != 0) {
-    return -1;
-  }
-  return std::atoi(response.c_str() + response.find(' ') + 1);
+TEST(AdminClient, SplitsStatusHeadersAndBody) {
+  std::thread peer;
+  const uint16_t port = ServeOnce(
+      "HTTP/1.0 503 Service Unavailable\r\nA: 1\r\nB: 2\r\n\r\n"
+      "busy\r\n\r\n",
+      &peer);
+  ASSERT_GT(port, 0);
+  const AdminResponse response = HttpRequest(port, "GET", "/healthz");
+  peer.join();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(response.status, 503);
+  EXPECT_EQ(response.headers, "A: 1\r\nB: 2");
+  EXPECT_EQ(response.body, "busy\r\n\r\n");
 }
 
 TEST(AdminServer, ServesMetricsSnapshotAndHealth) {
@@ -86,30 +104,31 @@ TEST(AdminServer, ServesMetricsSnapshotAndHealth) {
   ASSERT_EQ(server.Start(), "");
   ASSERT_GT(server.port(), 0);
 
-  const std::string metrics = HttpRequest(server.port(), "GET", "/metrics");
-  EXPECT_EQ(Status(metrics), 200);
-  EXPECT_NE(Body(metrics).find("psp_test_counter_total 5"),
+  const AdminResponse metrics = HttpRequest(server.port(), "GET", "/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("psp_test_counter_total 5"),
             std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(metrics.headers.find("text/plain; version=0.0.4"),
+            std::string::npos);
 
-  const std::string snapshot =
+  const AdminResponse snapshot =
       HttpRequest(server.port(), "GET", "/snapshot.json");
-  EXPECT_EQ(Status(snapshot), 200);
-  EXPECT_NE(Body(snapshot).find("\"test.counter\""), std::string::npos);
+  EXPECT_EQ(snapshot.status, 200);
+  EXPECT_NE(snapshot.body.find("\"test.counter\""), std::string::npos);
 
-  const std::string timeseries =
+  const AdminResponse timeseries =
       HttpRequest(server.port(), "GET", "/timeseries.json");
-  EXPECT_EQ(Status(timeseries), 200);
+  EXPECT_EQ(timeseries.status, 200);
 
-  const std::string health = HttpRequest(server.port(), "GET", "/healthz");
-  EXPECT_EQ(Status(health), 200);
-  EXPECT_EQ(Body(health), "ok\n");
+  const AdminResponse health = HttpRequest(server.port(), "GET", "/healthz");
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
 
   // Unknown path and unhooked endpoints.
-  EXPECT_EQ(Status(HttpRequest(server.port(), "GET", "/nope")), 404);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "GET", "/outliers.json")), 404);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/trace/start")), 501);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "PUT", "/metrics")), 405);
+  EXPECT_EQ(HttpRequest(server.port(), "GET", "/nope").status, 404);
+  EXPECT_EQ(HttpRequest(server.port(), "GET", "/outliers.json").status, 404);
+  EXPECT_EQ(HttpRequest(server.port(), "POST", "/trace/start").status, 501);
+  EXPECT_EQ(HttpRequest(server.port(), "PUT", "/metrics").status, 405);
   EXPECT_GE(server.requests_served(), 8u);
   server.Stop();
   EXPECT_FALSE(server.running());
@@ -125,11 +144,11 @@ TEST(AdminServer, MethodNotAllowedEscapesControlBytes) {
   hooks.snapshot = [] { return TelemetrySnapshot{}; };
   AdminServer server(config, hooks);
   ASSERT_EQ(server.Start(), "");
-  const std::string response =
+  const AdminResponse response =
       HttpRequest(server.port(), "\x01X", "/healthz");
   server.Stop();
-  EXPECT_EQ(Status(response), 405);
-  std::string body = Body(response);
+  EXPECT_EQ(response.status, 405);
+  std::string body = response.body;
   ASSERT_FALSE(body.empty());
   ASSERT_EQ(body.back(), '\n');  // the line terminator after the object
   body.pop_back();
@@ -151,25 +170,9 @@ TEST(AdminServer, UnixDomainSocketListener) {
   ASSERT_EQ(server.Start(), "");
   EXPECT_EQ(server.port(), 0);  // no TCP listener
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, config.uds_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const char req[] = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
-  ASSERT_EQ(::write(fd, req, sizeof(req) - 1),
-            static_cast<ssize_t>(sizeof(req) - 1));
-  std::string response;
-  char chunk[1024];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  EXPECT_EQ(Status(response), 200);
+  AdminEndpoint endpoint;
+  endpoint.uds_path = config.uds_path;
+  EXPECT_EQ(AdminRequest(endpoint, "GET", "/healthz").status, 200);
   server.Stop();
   // Stop removes the socket file.
   EXPECT_NE(::access(config.uds_path.c_str(), F_OK), 0);
@@ -189,13 +192,13 @@ TEST(AdminServer, ConfigPostValidation) {
   AdminServer server(config, hooks);
   ASSERT_EQ(server.Start(), "");
 
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/config", "good=1")),
+  EXPECT_EQ(HttpRequest(server.port(), "POST", "/config", "good=1").status,
             200);
   EXPECT_EQ(
-      Status(HttpRequest(server.port(), "POST", "/config", "good=1\nbad=2")),
+      HttpRequest(server.port(), "POST", "/config", "good=1\nbad=2").status,
       400);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/config", "")), 400);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/config", "noequals")),
+  EXPECT_EQ(HttpRequest(server.port(), "POST", "/config", "").status, 400);
+  EXPECT_EQ(HttpRequest(server.port(), "POST", "/config", "noequals").status,
             400);
   server.Stop();
 }
@@ -218,13 +221,13 @@ TEST(AdminServer, RuntimeEndToEnd) {
   ASSERT_GT(port, 0);
 
   // Scrape an idle server: liveness marker present, exposition well formed.
-  const std::string before = Body(HttpRequest(port, "GET", "/metrics"));
+  const std::string before = HttpRequest(port, "GET", "/metrics").body;
   EXPECT_NE(before.find("psp_up 1"), std::string::npos);
 
   // Arm a trace capture, then drive load.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/start")), 200);
+  EXPECT_EQ(HttpRequest(port, "POST", "/trace/start").status, 200);
   // Double-arm is a 409.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/start")), 409);
+  EXPECT_EQ(HttpRequest(port, "POST", "/trace/start").status, 409);
 
   LoadGenConfig lg;
   lg.rate_rps = 4000;
@@ -234,39 +237,39 @@ TEST(AdminServer, RuntimeEndToEnd) {
   gen.Run();
 
   // Counters moved between scrapes.
-  const std::string after = Body(HttpRequest(port, "GET", "/metrics"));
+  const std::string after = HttpRequest(port, "GET", "/metrics").body;
   EXPECT_NE(after.find("psp_runtime_rx_packets_total 400"),
             std::string::npos)
       << after.substr(0, 2000);
 
   // Live sampling change through POST /config.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/config", "sampling=8")), 200);
+  EXPECT_EQ(HttpRequest(port, "POST", "/config", "sampling=8").status, 200);
   EXPECT_EQ(server.telemetry().sample_every(), 8u);
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/config", "sampling=x")), 400);
+  EXPECT_EQ(HttpRequest(port, "POST", "/config", "sampling=x").status, 400);
 
   // Outliers captured with full stage breakdowns.
-  const std::string outliers = Body(HttpRequest(port, "GET",
-                                                "/outliers.json"));
+  const std::string outliers =
+      HttpRequest(port, "GET", "/outliers.json").body;
   EXPECT_NE(outliers.find("\"name\":\"SPIN\""), std::string::npos);
   EXPECT_NE(outliers.find("\"stages\""), std::string::npos);
   EXPECT_GT(server.outliers()->offered(), 0u);
 
   // Stop the capture: a catapult trace with events comes back.
-  const std::string trace = HttpRequest(port, "POST", "/trace/stop");
-  EXPECT_EQ(Status(trace), 200);
-  EXPECT_NE(Body(trace).find("\"traceEvents\""), std::string::npos);
+  const AdminResponse trace = HttpRequest(port, "POST", "/trace/stop");
+  EXPECT_EQ(trace.status, 200);
+  EXPECT_NE(trace.body.find("\"traceEvents\""), std::string::npos);
   // Stopping again without re-arming is a 409.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/stop")), 409);
+  EXPECT_EQ(HttpRequest(port, "POST", "/trace/stop").status, 409);
 
   // Flight record on demand.
-  const std::string flight =
+  const AdminResponse flight =
       HttpRequest(port, "POST", "/flightrecorder/dump");
-  EXPECT_EQ(Status(flight), 200);
-  EXPECT_FALSE(Body(flight).empty());
+  EXPECT_EQ(flight.status, 200);
+  EXPECT_FALSE(flight.body.empty());
 
   server.Stop();
   // The endpoint is down after Stop().
-  EXPECT_EQ(HttpRequest(port, "GET", "/healthz"), "");
+  EXPECT_FALSE(HttpRequest(port, "GET", "/healthz").ok());
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Format contract for the Prometheus text exposition renderer
+// Format contract for the Prometheus text exposition
 // (src/introspect/prometheus.h): name sanitisation, label escaping, counter
 // vs gauge vs summary shapes, worker-label folding, latest-interval gauges,
-// and byte determinism.
+// byte determinism, the page validator, and the federation that builds every
+// fleet page from its servers' pages.
 #include "src/introspect/prometheus.h"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "src/fleet/fleet_snapshot.h"
 #include "src/telemetry/snapshot.h"
 
 namespace psp {
@@ -374,6 +378,239 @@ TEST(Prometheus, ByteDeterministic) {
   snap.timeseries.push_back(rec);
 
   EXPECT_EQ(RenderPrometheusText(snap), RenderPrometheusText(snap));
+}
+
+TEST(Exposition, AcceptsRenderedPagesAndQuotedLabelPunctuation) {
+  EXPECT_EQ(CheckExposition(RenderPrometheusText(TelemetrySnapshot{})), "");
+  // '}', ' ' and an escaped '"' inside a quoted label value do not end the
+  // label block.
+  EXPECT_EQ(CheckExposition("# TYPE psp_x gauge\n"
+                            "psp_x{a=\"}{\",b=\"q\\\"} 1\"} 3\n"),
+            "");
+  EXPECT_EQ(CheckExposition("# HELP psp_s s\n# TYPE psp_s summary\n"
+                            "psp_s{quantile=\"0.5\"} 1\npsp_s_sum 2.5\n"
+                            "psp_s_count 2\npsp_up 1\n"),
+            "");
+}
+
+TEST(Exposition, RejectsMalformedPages) {
+  EXPECT_EQ(CheckExposition(""), "no samples in exposition");
+  EXPECT_EQ(CheckExposition("# HELP psp_x only comments\n"),
+            "no samples in exposition");
+  EXPECT_EQ(CheckExposition("psp_x abc\n"),
+            "line 1: bad sample value \"abc\"");
+  EXPECT_EQ(CheckExposition("psp_x{a=\"}\" 1\n"),
+            "line 1: unterminated labels");
+  EXPECT_EQ(CheckExposition("9x 1\n"), "line 1: bad metric name");
+  EXPECT_EQ(CheckExposition("psp_x\n"), "line 1: missing value separator");
+  EXPECT_EQ(CheckExposition("# note\npsp_x 1\n"),
+            "line 1: comment is neither HELP nor TYPE");
+}
+
+TEST(Exposition, RejectsRedeclaredOrScatteredFamilies) {
+  EXPECT_EQ(CheckExposition("# TYPE psp_x gauge\npsp_x 1\n"
+                            "# TYPE psp_x gauge\n"),
+            "line 3: second # TYPE for psp_x");
+  EXPECT_EQ(CheckExposition("psp_x{a=\"1\"} 1\npsp_y 2\n"
+                            "psp_x{a=\"2\"} 3\n"),
+            "line 3: lines of psp_x are not contiguous");
+  // _sum/_count belong to their summary: one after another family is a
+  // scattered summary, not a new family.
+  EXPECT_EQ(CheckExposition("# TYPE psp_s summary\npsp_s_sum 1\n"
+                            "psp_y 2\npsp_s_count 1\n"),
+            "line 4: lines of psp_s are not contiguous");
+}
+
+// Literal golden: FederateMetrics (what `pspctl federate` prints) must stay
+// byte-identical to the merger it was moved from.
+TEST(Federation, GoldenMergeOfTwoPages) {
+  const std::vector<std::string> pages = {
+      "# HELP psp_requests_total counter \"requests\"\n"
+      "# TYPE psp_requests_total counter\n"
+      "psp_requests_total 10\n"
+      "# HELP psp_worker_busy_total counter \"worker.<N>.busy\" per worker\n"
+      "# TYPE psp_worker_busy_total counter\n"
+      "psp_worker_busy_total{worker=\"0\"} 3\n"
+      "psp_worker_busy_total{worker=\"1\"} 4\n"
+      "# HELP psp_depth gauge \"depth\"\n"
+      "# TYPE psp_depth gauge\n"
+      "psp_depth 2\n"
+      "# HELP psp_latency histogram \"latency\" as quantile summary\n"
+      "# TYPE psp_latency summary\n"
+      "psp_latency{quantile=\"0.5\"} 100\n"
+      "psp_latency{quantile=\"0.999\"} 900\n"
+      "psp_latency_sum 1500.5\n"
+      "psp_latency_count 3\n"
+      "# HELP psp_up introspection plane liveness\n"
+      "# TYPE psp_up gauge\n"
+      "psp_up 1\n",
+      "# HELP psp_requests_total counter \"requests\"\n"
+      "# TYPE psp_requests_total counter\n"
+      "psp_requests_total 5\n"
+      "# TYPE psp_worker_busy_total counter\n"
+      "psp_worker_busy_total{worker=\"0\"} 7\n"
+      "# HELP psp_ratio_total a fractional counter\n"
+      "# TYPE psp_ratio_total counter\n"
+      "psp_ratio_total{type=\"a\\\"b}\"} 0.5\n"
+      "psp_ratio_total{type=\"c\"} 2\n"
+      "# TYPE psp_latency summary\n"
+      "psp_latency{quantile=\"0.5\"} 200\n"
+      "psp_latency{quantile=\"0.999\"} 300\n"
+      "psp_latency_sum 700\n"
+      "psp_latency_count 2\n"
+      "psp_up 1\n"};
+  const std::string expected =
+      "# HELP psp_requests_total counter \"requests\"\n"
+      "# TYPE psp_requests_total counter\n"
+      "psp_requests_total{server=\"0\"} 10\n"
+      "psp_requests_total{server=\"1\"} 5\n"
+      "# HELP psp_worker_busy_total counter \"worker.<N>.busy\" per worker\n"
+      "# TYPE psp_worker_busy_total counter\n"
+      "psp_worker_busy_total{server=\"0\",worker=\"0\"} 3\n"
+      "psp_worker_busy_total{server=\"0\",worker=\"1\"} 4\n"
+      "psp_worker_busy_total{server=\"1\",worker=\"0\"} 7\n"
+      "# HELP psp_depth gauge \"depth\"\n"
+      "# TYPE psp_depth gauge\n"
+      "psp_depth{server=\"0\"} 2\n"
+      "# HELP psp_latency histogram \"latency\" as quantile summary\n"
+      "# TYPE psp_latency summary\n"
+      "psp_latency{server=\"0\",quantile=\"0.5\"} 100\n"
+      "psp_latency{server=\"0\",quantile=\"0.999\"} 900\n"
+      "psp_latency{server=\"1\",quantile=\"0.5\"} 200\n"
+      "psp_latency{server=\"1\",quantile=\"0.999\"} 300\n"
+      "psp_latency_sum{server=\"0\"} 1500.5\n"
+      "psp_latency_sum{server=\"1\"} 700\n"
+      "psp_latency_count{server=\"0\"} 3\n"
+      "psp_latency_count{server=\"1\"} 2\n"
+      "# HELP psp_ratio_total a fractional counter\n"
+      "# TYPE psp_ratio_total counter\n"
+      "psp_ratio_total{server=\"1\",type=\"a\\\"b}\"} 0.5\n"
+      "psp_ratio_total{server=\"1\",type=\"c\"} 2\n"
+      "# HELP psp_fleet_requests_total Sum of psp_requests_total across "
+      "federated servers.\n"
+      "# TYPE psp_fleet_requests_total counter\n"
+      "psp_fleet_requests_total 15\n"
+      "# HELP psp_fleet_worker_busy_total Sum of psp_worker_busy_total across "
+      "federated servers.\n"
+      "# TYPE psp_fleet_worker_busy_total counter\n"
+      "psp_fleet_worker_busy_total{worker=\"0\"} 10\n"
+      "psp_fleet_worker_busy_total{worker=\"1\"} 4\n"
+      "# HELP psp_fleet_ratio_total Sum of psp_ratio_total across "
+      "federated servers.\n"
+      "# TYPE psp_fleet_ratio_total counter\n"
+      "psp_fleet_ratio_total{type=\"a\\\"b}\"} 0.5\n"
+      "psp_fleet_ratio_total{type=\"c\"} 2\n"
+      "# HELP psp_fleet_servers Endpoints merged into this page.\n"
+      "# TYPE psp_fleet_servers gauge\n"
+      "psp_fleet_servers 2\n"
+      "psp_up 1\n";
+  EXPECT_EQ(FederateMetrics(pages), expected);
+  EXPECT_EQ(CheckExposition(expected), "");
+}
+
+// A server snapshot that exercises every renderer family: plain and indexed
+// scalars, summaries, the latest interval, the deadline tier and the ledger.
+TelemetrySnapshot RichServerSnapshot(uint64_t scale) {
+  TelemetrySnapshot snap;
+  snap.type_names[1] = "SHORT";
+  snap.counters["engine.completed"] = 100 * scale;
+  snap.counters["worker.0.requests"] = 40 * scale;
+  snap.counters["worker.1.requests"] = 60 * scale;
+  snap.counters["ingress.shard.0.rx_datagrams"] = 7 * scale;
+  snap.gauges["scheduler.idle_workers"] = 1;
+  snap.gauges["worker.1.depth"] = 2;
+  for (uint64_t v = 1; v <= 50 * scale; ++v) {
+    snap.histograms["engine.latency"].Add(static_cast<int64_t>(v * 1000));
+  }
+  IntervalRecord rec;
+  rec.seq = 3;
+  TypeIntervalStats t;
+  t.type = 1;
+  t.arrivals = 9;
+  t.deadline_misses = 1;
+  rec.types.push_back(t);
+  rec.worker_busy_permille = {500, 250};
+  snap.timeseries.push_back(rec);
+  DeadlineTypeStats d;
+  d.type = 1;
+  d.name = "SHORT";
+  d.missed = scale;
+  d.slack_sum_nanos = 10;
+  d.slack_samples = 2;
+  snap.deadline_types.push_back(d);
+  WorkerTimeRecord ledger;
+  ledger.slot = 0;
+  ledger.role = "worker";
+  ledger.state_ns[static_cast<size_t>(WorkerTimeState::kBusy)] = 900;
+  ledger.busy_type_ns = {{"SHORT", 600}};
+  snap.worker_time.push_back(ledger);
+  return snap;
+}
+
+// The fleet page is its servers' pages: every family of a server's own page
+// (but psp_up) appears under the same name and TYPE, and every one of its
+// samples appears with server="i" added to its labels.
+TEST(Federation, FleetPageContainsEachServerPage) {
+  FleetSnapshot fleet;
+  fleet.policy = "po2c";
+  fleet.counters["fleet.generated"] = 500;
+  fleet.counters["fleet.server.0.dispatched"] = 200;
+  fleet.counters["fleet.server.1.dispatched"] = 300;
+  fleet.gauges["fleet.server.1.outstanding"] = 4;
+  fleet.servers = {RichServerSnapshot(1), RichServerSnapshot(2)};
+  const std::string page = fleet.ToPrometheus();
+  EXPECT_EQ(CheckExposition(page), "");
+
+  for (size_t i = 0; i < fleet.servers.size(); ++i) {
+    const std::string server = "server=\"" + std::to_string(i) + "\"";
+    for (const std::string& line :
+         Lines(RenderPrometheusText(fleet.servers[i]))) {
+      if (line == "psp_up 1" || Contains(line, " psp_up ")) {
+        continue;
+      }
+      if (line.rfind("# TYPE ", 0) == 0) {
+        EXPECT_TRUE(Contains(page, line + "\n")) << line;
+        continue;
+      }
+      if (line[0] == '#') {
+        continue;
+      }
+      const size_t brace = line.find('{');
+      const size_t space = line.find(' ');
+      const std::string labelled =
+          brace < space ? line.substr(0, brace + 1) + server + "," +
+                              line.substr(brace + 1)
+                        : line.substr(0, space) + "{" + server + "}" +
+                              line.substr(space);
+      EXPECT_TRUE(Contains(page, "\n" + labelled + "\n")) << labelled;
+    }
+  }
+
+  // Roll-ups, the dispatcher tier and the page-level families.
+  EXPECT_TRUE(Contains(page, "\npsp_fleet_engine_completed_total 300\n"));
+  EXPECT_TRUE(Contains(
+      page, "\npsp_fleet_worker_requests_total{worker=\"1\"} 180\n"));
+  EXPECT_TRUE(Contains(
+      page, "\npsp_fleet_engine_latency{quantile=\"0.999\"} " +
+                std::to_string(fleet.Merged()
+                                   .histograms.at("engine.latency")
+                                   .Percentile(99.9)) +
+                "\n"));
+  EXPECT_TRUE(Contains(page, "\npsp_fleet_engine_latency_count 150\n"));
+  EXPECT_TRUE(Contains(page, "\npsp_fleet_generated_total 500\n"));
+  EXPECT_TRUE(Contains(
+      page, "\npsp_fleet_server_dispatched_total{server=\"1\"} 300\n"));
+  EXPECT_TRUE(
+      Contains(page, "\npsp_fleet_server_outstanding{server=\"1\"} 4\n"));
+  EXPECT_TRUE(Contains(page, "\npsp_fleet_policy{policy=\"po2c\"} 1\n"));
+  EXPECT_TRUE(Contains(page, "\npsp_fleet_servers 2\n"));
+  EXPECT_FALSE(Contains(page, "psp_fleet_fleet_"));
+  EXPECT_FALSE(Contains(page, "server=\"merged\""));
+  size_t up = 0;
+  for (const std::string& line : Lines(page)) {
+    up += line.rfind("psp_up", 0) == 0 || Contains(line, " psp_up ") ? 1 : 0;
+  }
+  EXPECT_EQ(up, 1u);
 }
 
 }  // namespace

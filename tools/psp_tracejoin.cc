@@ -16,19 +16,13 @@
 // Exit codes: 0 success, 1 usage, 2 I/O or transport failure, 3 malformed
 // input, 4 join produced no spans (the trace file is still written).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "src/introspect/admin_client.h"
 #include "src/introspect/tracejoin.h"
 
 namespace {
@@ -54,72 +48,12 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-// One-shot HTTP GET of /lifecycle.json from the admin endpoint (same minimal
-// client shape as pspctl; this tool stays usable without it on the box).
-bool FetchLifecycle(const std::string& host, int port, std::string* body,
-                    std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::strerror(errno);
-    return false;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    *error = "bad host address: " + host;
-    ::close(fd);
-    return false;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    *error = host + ":" + std::to_string(port) + ": " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  const std::string req = "GET /lifecycle.json HTTP/1.1\r\nHost: " + host +
-                          "\r\nConnection: close\r\nContent-Length: 0\r\n\r\n";
-  size_t done = 0;
-  while (done < req.size()) {
-    const ssize_t n = ::write(fd, req.data() + done, req.size() - done);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      *error = "send failed";
-      ::close(fd);
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos ||
-      response.compare(0, 5, "HTTP/") != 0) {
-    *error = "malformed HTTP response";
-    return false;
-  }
-  const int status = std::atoi(response.c_str() + response.find(' ') + 1);
-  if (status != 200) {
-    *error = "HTTP " + std::to_string(status);
-    return false;
-  }
-  *body = response.substr(header_end + 4);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string client_path;
   std::string server_path;
-  std::string admin_host;
-  int admin_port = 0;
+  psp::AdminEndpoint admin;
   std::string out_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -141,8 +75,9 @@ int main(int argc, char** argv) {
       if (colon == std::string::npos) {
         return Usage("--admin expects HOST:PORT");
       }
-      admin_host = hp.substr(0, colon);
-      admin_port = std::atoi(hp.c_str() + colon + 1);
+      admin.host = hp.substr(0, colon);
+      const int port = std::atoi(hp.c_str() + colon + 1);
+      admin.port = port > 0 && port <= 65535 ? static_cast<uint16_t>(port) : 0;
     } else if (arg == "--out") {
       out_path = next("--out");
     } else {
@@ -152,7 +87,7 @@ int main(int argc, char** argv) {
   if (client_path.empty() || out_path.empty()) {
     return Usage("--client and --out are required");
   }
-  if (server_path.empty() && admin_port <= 0) {
+  if (server_path.empty() && admin.port == 0) {
     return Usage("need a server half: --server FILE or --admin HOST:PORT");
   }
 
@@ -170,12 +105,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   } else {
-    std::string error;
-    if (!FetchLifecycle(admin_host, admin_port, &server_json, &error)) {
+    const psp::AdminResponse response =
+        psp::AdminRequest(admin, "GET", "/lifecycle.json");
+    if (!response.ok() || response.status != 200) {
+      const std::string why =
+          response.ok() ? "HTTP " + std::to_string(response.status)
+                        : response.error;
       std::fprintf(stderr, "psp_tracejoin: fetch lifecycle: %s\n",
-                   error.c_str());
+                   why.c_str());
       return 2;
     }
+    server_json = response.body;
   }
 
   std::vector<psp::ClientTraceRecord> client;

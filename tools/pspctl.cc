@@ -1,7 +1,8 @@
 // pspctl: command-line client for the live introspection plane
-// (src/introspect/admin.h). Deliberately standalone — plain POSIX sockets,
-// no psp libraries — so it builds anywhere and exercises the endpoint the
-// way an external scraper would.
+// (src/introspect/admin.h). It reaches the endpoint only over its socket, the
+// way an external scraper would, through the shared admin client
+// (src/introspect/admin_client.h); the exposition validator and the
+// federation merger are src/introspect/prometheus.h's.
 //
 // Usage:
 //   pspctl [--port P | --host H:P | --uds PATH] [--out FILE] [--check] CMD
@@ -26,42 +27,36 @@
 //   flight             POST /flightrecorder/dump
 //   set KEY=VALUE...   POST /config  (e.g. set sampling=64)
 //   federate H:P...    scrape /metrics from N independent server processes
-//                      and merge: every sample gains a server="i" label,
-//                      counter families are summed into psp_fleet_*
-//                      families, psp_fleet_servers counts the endpoints.
+//                      and merge (psp::FederateMetrics): every sample gains
+//                      a server="i" label, counter families are summed into
+//                      psp_fleet_* families, psp_fleet_servers counts the
+//                      endpoints.
 //                      --check validates the merged page.
 //   checkfile FILE     run the --check exposition validator on a local file
 //                      (e.g. psp_loadgen --prom output); no endpoint needed.
 //
 // The port defaults to $PSP_ADMIN_PORT. Exit codes: 0 success, 1 usage,
-// 2 connect/transport failure, 3 HTTP error status, 4 --check failed.
+// 2 connect/transport failure or malformed HTTP response, 3 HTTP error
+// status, 4 --check failed.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <ctime>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <ctime>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/introspect/admin_client.h"
+#include "src/introspect/prometheus.h"
+
 namespace {
 
 struct Options {
-  std::string host = "127.0.0.1";
-  int port = 0;
-  std::string uds_path;
+  psp::AdminEndpoint endpoint;
   std::string out_file;
   bool check = false;
 };
@@ -82,384 +77,44 @@ int UsageError(const char* detail) {
   return 1;
 }
 
-int Connect(const Options& opt, std::string* error) {
-  if (!opt.uds_path.empty()) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *error = std::strerror(errno);
-      return -1;
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, opt.uds_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      *error = opt.uds_path + ": " + std::strerror(errno);
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::strerror(errno);
-    return -1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(opt.port));
-  if (::inet_pton(AF_INET, opt.host.c_str(), &addr.sin_addr) != 1) {
-    *error = "bad host address: " + opt.host;
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    *error = opt.host + ":" + std::to_string(opt.port) + ": " +
-             std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+// A TCP port from text; 0 (unset) unless it lies in [1, 65535].
+uint16_t ParsePort(const char* text) {
+  const int port = std::atoi(text);
+  return port > 0 && port <= 65535 ? static_cast<uint16_t>(port) : 0;
 }
 
-bool SendAll(int fd, const std::string& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    done += static_cast<size_t>(n);
+// Splits HOST:PORT into `endpoint`; false when there is no colon.
+bool ParseHostPort(const std::string& text, psp::AdminEndpoint* endpoint) {
+  const size_t colon = text.rfind(':');
+  if (colon == std::string::npos) {
+    return false;
   }
+  endpoint->host = text.substr(0, colon);
+  endpoint->port = ParsePort(text.c_str() + colon + 1);
   return true;
 }
 
-// Issues one request; returns the HTTP status (or -1 on transport failure)
-// and fills `body`.
-int Request(const Options& opt, const std::string& method,
-            const std::string& path, const std::string& payload,
-            std::string* body, std::string* error) {
-  const int fd = Connect(opt, error);
-  if (fd < 0) {
-    return -1;
+// Issues one request and fills `body`. Returns 0, or — after saying why on
+// stderr — 2 for a transport failure or malformed response and 3 for an
+// HTTP error status.
+int Fetch(const psp::AdminEndpoint& endpoint, const std::string& method,
+          const std::string& path, const std::string& payload,
+          std::string* body) {
+  const psp::AdminResponse response =
+      psp::AdminRequest(endpoint, method, path, payload);
+  const std::string where = method + " " + path;
+  if (!response.ok()) {
+    std::fprintf(stderr, "pspctl: %s: %s\n", where.c_str(),
+                 response.error.c_str());
+    return 2;
   }
-  std::string req = method + " " + path + " HTTP/1.1\r\nHost: " + opt.host +
-                    "\r\nConnection: close\r\nContent-Length: " +
-                    std::to_string(payload.size()) + "\r\n\r\n" + payload;
-  if (!SendAll(fd, req)) {
-    *error = "send failed";
-    ::close(fd);
-    return -1;
+  if (response.status >= 400) {
+    std::fprintf(stderr, "pspctl: %s: HTTP %d: %s", where.c_str(),
+                 response.status, response.body.c_str());
+    return 3;
   }
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos ||
-      response.compare(0, 5, "HTTP/") != 0) {
-    *error = "malformed HTTP response";
-    return -1;
-  }
-  const size_t sp = response.find(' ');
-  const int status = std::atoi(response.c_str() + sp + 1);
-  *body = response.substr(header_end + 4);
-  return status;
-}
-
-// Minimal exposition-format validator: every non-comment, non-blank line
-// must be `name[{labels}] value`, names legal, HELP/TYPE comments well
-// formed. Returns "" when valid, else the first problem.
-std::string CheckExposition(const std::string& text) {
-  size_t pos = 0;
-  int line_no = 0;
-  bool any_sample = false;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
-    }
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (line.empty()) {
-      continue;
-    }
-    if (line[0] == '#') {
-      if (line.compare(0, 7, "# HELP ") != 0 &&
-          line.compare(0, 7, "# TYPE ") != 0) {
-        return "line " + std::to_string(line_no) +
-               ": comment is neither HELP nor TYPE";
-      }
-      continue;
-    }
-    // name
-    size_t i = 0;
-    while (i < line.size() &&
-           (std::isalnum(static_cast<unsigned char>(line[i])) ||
-            line[i] == '_' || line[i] == ':')) {
-      ++i;
-    }
-    if (i == 0 || std::isdigit(static_cast<unsigned char>(line[0]))) {
-      return "line " + std::to_string(line_no) + ": bad metric name";
-    }
-    // optional {labels}
-    if (i < line.size() && line[i] == '{') {
-      bool in_quotes = false;
-      bool escaped = false;
-      ++i;
-      for (; i < line.size(); ++i) {
-        const char c = line[i];
-        if (escaped) {
-          escaped = false;
-          continue;
-        }
-        if (in_quotes && c == '\\') {
-          escaped = true;
-          continue;
-        }
-        if (c == '"') {
-          in_quotes = !in_quotes;
-          continue;
-        }
-        if (!in_quotes && c == '}') {
-          break;
-        }
-      }
-      if (i >= line.size() || line[i] != '}') {
-        return "line " + std::to_string(line_no) + ": unterminated labels";
-      }
-      ++i;
-    }
-    if (i >= line.size() || line[i] != ' ') {
-      return "line " + std::to_string(line_no) + ": missing value separator";
-    }
-    const std::string value = line.substr(i + 1);
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return "line " + std::to_string(line_no) + ": bad sample value \"" +
-             value + "\"";
-    }
-    any_sample = true;
-  }
-  if (!any_sample) {
-    return "no samples in exposition";
-  }
-  return "";
-}
-
-// One parsed exposition sample: name, the raw label block (without braces,
-// possibly empty) and the value text.
-struct Sample {
-  std::string name;
-  std::string labels;
-  std::string value;
-};
-
-// Splits a non-comment exposition line; false for lines CheckExposition
-// would reject anyway (federate runs after per-page validation).
-bool ParseSampleLine(const std::string& line, Sample* out) {
-  size_t i = 0;
-  while (i < line.size() &&
-         (std::isalnum(static_cast<unsigned char>(line[i])) ||
-          line[i] == '_' || line[i] == ':')) {
-    ++i;
-  }
-  if (i == 0) {
-    return false;
-  }
-  out->name = line.substr(0, i);
-  out->labels.clear();
-  if (i < line.size() && line[i] == '{') {
-    const size_t open = i;
-    bool in_quotes = false;
-    bool escaped = false;
-    ++i;
-    for (; i < line.size(); ++i) {
-      const char c = line[i];
-      if (escaped) {
-        escaped = false;
-        continue;
-      }
-      if (in_quotes && c == '\\') {
-        escaped = true;
-        continue;
-      }
-      if (c == '"') {
-        in_quotes = !in_quotes;
-        continue;
-      }
-      if (!in_quotes && c == '}') {
-        break;
-      }
-    }
-    if (i >= line.size()) {
-      return false;
-    }
-    out->labels = line.substr(open + 1, i - open - 1);
-    ++i;
-  }
-  if (i >= line.size() || line[i] != ' ') {
-    return false;
-  }
-  out->value = line.substr(i + 1);
-  return true;
-}
-
-// Merges N /metrics pages from independent server processes into one
-// exposition: per-server samples labelled server="i" (family HELP/TYPE kept
-// from the first page that declares them), counter families summed across
-// servers into psp_fleet_* (the same labelling convention FleetSnapshot uses
-// for in-process fleets), plus psp_fleet_servers and a terminal psp_up.
-std::string FederateMetrics(const std::vector<std::string>& pages) {
-  struct Family {
-    std::string help;
-    std::string type;
-    // Per-server sample lines, already server-labelled.
-    std::vector<std::string> lines;
-    // Aggregation: labels -> summed value (counters only).
-    std::vector<std::pair<std::string, double>> sums;
-    bool integral = true;
-  };
-  std::vector<std::string> order;  // first-seen family order
-  std::vector<Family> families;
-  const auto family_of = [&](const std::string& name) -> Family& {
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == name) {
-        return families[i];
-      }
-    }
-    order.push_back(name);
-    families.emplace_back();
-    return families.back();
-  };
-
-  for (size_t server = 0; server < pages.size(); ++server) {
-    const std::string& page = pages[server];
-    size_t pos = 0;
-    while (pos < page.size()) {
-      size_t eol = page.find('\n', pos);
-      if (eol == std::string::npos) {
-        eol = page.size();
-      }
-      const std::string line = page.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.empty()) {
-        continue;
-      }
-      if (line[0] == '#') {
-        // "# HELP name text" / "# TYPE name kind"
-        const bool is_help = line.compare(0, 7, "# HELP ") == 0;
-        const bool is_type = line.compare(0, 7, "# TYPE ") == 0;
-        if (!is_help && !is_type) {
-          continue;
-        }
-        const size_t name_begin = 7;
-        const size_t name_end = line.find(' ', name_begin);
-        if (name_end == std::string::npos) {
-          continue;
-        }
-        Family& fam = family_of(line.substr(name_begin, name_end - name_begin));
-        std::string& slot = is_help ? fam.help : fam.type;
-        if (slot.empty()) {
-          slot = line.substr(name_end + 1);
-        }
-        continue;
-      }
-      Sample sample;
-      if (!ParseSampleLine(line, &sample)) {
-        continue;
-      }
-      if (sample.name == "psp_up") {
-        continue;  // re-emitted once, terminal, for the merged page
-      }
-      Family& fam = family_of(sample.name);
-      std::string labelled = "server=\"" + std::to_string(server) + "\"";
-      if (!sample.labels.empty()) {
-        labelled += "," + sample.labels;
-      }
-      fam.lines.push_back(sample.name + "{" + labelled + "} " + sample.value);
-      char* end = nullptr;
-      const double v = std::strtod(sample.value.c_str(), &end);
-      if (end != sample.value.c_str() && *end == '\0') {
-        bool found = false;
-        for (auto& [labels, sum] : fam.sums) {
-          if (labels == sample.labels) {
-            sum += v;
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          fam.sums.emplace_back(sample.labels, v);
-        }
-        if (v != static_cast<double>(static_cast<long long>(v))) {
-          fam.integral = false;
-        }
-      }
-    }
-  }
-
-  std::string out;
-  const auto append_value = [&](double v, bool integral) {
-    char buf[64];
-    if (integral && v < 9e15 && v > -9e15) {
-      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    } else {
-      std::snprintf(buf, sizeof(buf), "%.9g", v);
-    }
-    out += buf;
-  };
-  for (size_t i = 0; i < order.size(); ++i) {
-    const Family& fam = families[i];
-    if (fam.lines.empty()) {
-      continue;
-    }
-    if (!fam.help.empty()) {
-      out += "# HELP " + order[i] + " " + fam.help + "\n";
-    }
-    if (!fam.type.empty()) {
-      out += "# TYPE " + order[i] + " " + fam.type + "\n";
-    }
-    for (const std::string& line : fam.lines) {
-      out += line + "\n";
-    }
-  }
-  // Fleet roll-up: counters are meaningfully summable across processes.
-  for (size_t i = 0; i < order.size(); ++i) {
-    const Family& fam = families[i];
-    if (fam.type != "counter" || fam.sums.empty()) {
-      continue;
-    }
-    const std::string fleet_name =
-        order[i].compare(0, 4, "psp_") == 0
-            ? "psp_fleet_" + order[i].substr(4)
-            : "psp_fleet_" + order[i];
-    out += "# HELP " + fleet_name + " Sum of " + order[i] +
-           " across federated servers.\n";
-    out += "# TYPE " + fleet_name + " counter\n";
-    for (const auto& [labels, sum] : fam.sums) {
-      out += fleet_name;
-      if (!labels.empty()) {
-        out += "{" + labels + "}";
-      }
-      out += " ";
-      append_value(sum, fam.integral);
-      out += "\n";
-    }
-  }
-  out += "# HELP psp_fleet_servers Endpoints merged into this page.\n";
-  out += "# TYPE psp_fleet_servers gauge\n";
-  out += "psp_fleet_servers " + std::to_string(pages.size()) + "\n";
-  out += "psp_up 1\n";
-  return out;
+  *body = response.body;
+  return 0;
 }
 
 int Emit(const Options& opt, const std::string& body) {
@@ -481,7 +136,7 @@ int Emit(const Options& opt, const std::string& body) {
 int main(int argc, char** argv) {
   Options opt;
   if (const char* env = std::getenv("PSP_ADMIN_PORT")) {
-    opt.port = std::atoi(env);
+    opt.endpoint.port = ParsePort(env);
   }
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
@@ -494,17 +149,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      opt.port = std::atoi(next("--port"));
+      opt.endpoint.port = ParsePort(next("--port"));
     } else if (arg == "--host") {
-      const std::string hp = next("--host");
-      const size_t colon = hp.rfind(':');
-      if (colon == std::string::npos) {
+      if (!ParseHostPort(next("--host"), &opt.endpoint)) {
         return UsageError("--host expects HOST:PORT");
       }
-      opt.host = hp.substr(0, colon);
-      opt.port = std::atoi(hp.c_str() + colon + 1);
     } else if (arg == "--uds") {
-      opt.uds_path = next("--uds");
+      opt.endpoint.uds_path = next("--uds");
     } else if (arg == "--out") {
       opt.out_file = next("--out");
     } else if (arg == "--check") {
@@ -533,7 +184,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream ss;
     ss << in.rdbuf();
-    if (const std::string problem = CheckExposition(ss.str());
+    if (const std::string problem = psp::CheckExposition(ss.str());
         !problem.empty()) {
       std::fprintf(stderr, "pspctl: %s: malformed exposition: %s\n",
                    args[1].c_str(), problem.c_str());
@@ -547,35 +198,23 @@ int main(int argc, char** argv) {
     }
     std::vector<std::string> pages;
     for (size_t i = 1; i < args.size(); ++i) {
-      const size_t colon = args[i].rfind(':');
-      if (colon == std::string::npos) {
+      psp::AdminEndpoint endpoint;
+      if (!ParseHostPort(args[i], &endpoint)) {
         return UsageError(("federate endpoint is not HOST:PORT: " + args[i])
                               .c_str());
       }
-      Options endpoint;
-      endpoint.host = args[i].substr(0, colon);
-      endpoint.port = std::atoi(args[i].c_str() + colon + 1);
-      if (endpoint.port <= 0) {
+      if (endpoint.port == 0) {
         return UsageError(("bad port in endpoint: " + args[i]).c_str());
       }
       std::string body;
-      std::string error;
-      const int status =
-          Request(endpoint, "GET", "/metrics", "", &body, &error);
-      if (status < 0) {
-        std::fprintf(stderr, "pspctl: %s: %s\n", args[i].c_str(),
-                     error.c_str());
-        return 2;
-      }
-      if (status >= 400) {
-        std::fprintf(stderr, "pspctl: %s: HTTP %d\n", args[i].c_str(), status);
-        return 3;
+      if (const int rc = Fetch(endpoint, "GET", "/metrics", "", &body)) {
+        return rc;
       }
       pages.push_back(std::move(body));
     }
-    const std::string merged = FederateMetrics(pages);
+    const std::string merged = psp::FederateMetrics(pages);
     if (opt.check) {
-      if (const std::string problem = CheckExposition(merged);
+      if (const std::string problem = psp::CheckExposition(merged);
           !problem.empty()) {
         std::fprintf(stderr, "pspctl: malformed federated exposition: %s\n",
                      problem.c_str());
@@ -585,7 +224,7 @@ int main(int argc, char** argv) {
     return Emit(opt, merged);
   }
 
-  if (opt.uds_path.empty() && opt.port <= 0) {
+  if (opt.endpoint.uds_path.empty() && opt.endpoint.port == 0) {
     return UsageError("no endpoint: pass --port/--host/--uds or set "
                       "PSP_ADMIN_PORT");
   }
@@ -595,19 +234,8 @@ int main(int argc, char** argv) {
     // request path below; the argument-less / numeric form is the one-shot
     // capture loop (start -> local wait -> stop -> fetch folded stacks).
     auto one_request = [&](const std::string& method, const std::string& path,
-                           std::string* body) -> int {
-      std::string error;
-      const int status = Request(opt, method, path, "", body, &error);
-      if (status < 0) {
-        std::fprintf(stderr, "pspctl: %s\n", error.c_str());
-        return 2;
-      }
-      if (status >= 400) {
-        std::fprintf(stderr, "pspctl: %s: HTTP %d: %s", path.c_str(), status,
-                     body->c_str());
-        return 3;
-      }
-      return 0;
+                           std::string* body) {
+      return Fetch(opt.endpoint, method, path, "", body);
     };
     std::string body;
     if (args.size() >= 2 && args[1] == "stop") {
@@ -715,18 +343,12 @@ int main(int argc, char** argv) {
   }
 
   std::string body;
-  std::string error;
-  const int status = Request(opt, method, path, payload, &body, &error);
-  if (status < 0) {
-    std::fprintf(stderr, "pspctl: %s\n", error.c_str());
-    return 2;
-  }
-  if (status >= 400) {
-    std::fprintf(stderr, "pspctl: HTTP %d: %s", status, body.c_str());
-    return 3;
+  if (const int rc = Fetch(opt.endpoint, method, path, payload, &body)) {
+    return rc;
   }
   if (opt.check && cmd == "metrics") {
-    if (const std::string problem = CheckExposition(body); !problem.empty()) {
+    if (const std::string problem = psp::CheckExposition(body);
+        !problem.empty()) {
       std::fprintf(stderr, "pspctl: malformed exposition: %s\n",
                    problem.c_str());
       return 4;
